@@ -8,7 +8,6 @@ precompactness condition checks on the moduli space, and a sequence analyzer
 that classifies metric families as collapsing or non-collapsing.
 """
 
-from ._kernels import USING_NUMBA
 from .core import (
     AlgebraVector,
     GroupElement,
@@ -69,3 +68,7 @@ from .moduli import (
 from .sequence import SequenceReport, SequenceSpec, analyze_sequence
 
 __version__ = "0.1.0"
+
+# Every kernel is numpy; no jit backend exists.  Kept as a constant for
+# callers that record which backend ran.
+USING_NUMBA = False

@@ -1,34 +1,16 @@
-"""Hot numerical kernels with two interchangeable backends.
-
-The default backend compiles the inner loops with numba's ``@njit``.  Setting
-the environment variable ``HEISGEO_PURE_NUMPY=1`` (or running without numba
-installed) selects a pure-numpy implementation of the same algorithms.  Both
-backends are importable side by side so ``benchmarks/bench_kernels.py`` can
-time them against each other.
-
-Kernels:
+"""Hot numerical kernels, in numpy.
 
 * ``rk4_flow`` -- fixed-step RK4 integration of the left-invariant
-  Hamiltonian system in frame coordinates (geodesic flow oracle).
+  Hamiltonian system in frame coordinates (geodesic flow oracle), over a
+  batch of independent trajectories.
 * ``svp_enumerate`` -- depth-first Fincke--Pohst enumeration of the shortest
   nonzero vector of a positive-definite Gram matrix given its Cholesky
   factor, with a deterministic lexicographic tie-break.
 """
 
 import math
-import os
 
 import numpy as np
-
-_PURE = os.environ.get("HEISGEO_PURE_NUMPY", "").lower() in ("1", "true", "yes")
-
-if not _PURE:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _PURE = True
-
-USING_NUMBA = not _PURE
 
 
 # ---------------------------------------------------------------------------
@@ -44,75 +26,57 @@ USING_NUMBA = not _PURE
 # ---------------------------------------------------------------------------
 
 
-def _rk4_flow_py(p_h, pz, rho, d, t, steps):
-    n = d.shape[0]
-    u = np.zeros(2 * n)
-    h = p_h.astype(np.float64).copy()
-    z = 0.0
-    dt = t / steps
+def rk4_flow(p_h, pz, rho, d, t, steps, samples=1):
+    """Integrate B trajectories from u = 0, z = 0, h = p_h over [0, t] in
+    `steps` equal RK4 steps.
+
+    p_h: (B, 2n); pz, rho, t: (B,); d: (B, n).  Returns u: (B, 2n), z: (B,)
+    and h_at: (B, samples, 2n), the momenta after steps
+    max(1, round(steps * j / samples)) for j = 1..samples, so the last sample
+    is the final momentum.  Rows do not interact: each row gets the same
+    floating-point operations as a one-row call.
+    """
+    h0 = np.asarray(p_h, dtype=np.float64)
+    B, m = h0.shape
+    n = m // 2
+    pz = np.asarray(pz, dtype=np.float64)
+    rho = np.asarray(rho, dtype=np.float64)
+    d = np.asarray(d, dtype=np.float64)
+    dt = (np.asarray(t, dtype=np.float64) / steps)[:, None]
+    half = 0.5 * dt
+    sixth = dt / 6.0
     drift = rho * rho * pz
+    half_d = 0.5 * d
+    rot = np.concatenate([-pz[:, None] * d, pz[:, None] * d], axis=1)
+    swap = np.r_[m + n : 2 * m, m : m + n]
 
-    def f(u, h):
-        dh = np.empty_like(h)
-        dh[:n] = -pz * d * h[n:]
-        dh[n:] = pz * d * h[:n]
-        dz = drift + 0.5 * np.dot(d, u[:n] * h[n:] - u[n:] * h[:n])
-        return h.copy(), dh, dz
+    # one row per trajectory: columns u (0..m-1), h (m..2m-1), z (2m)
+    s = np.zeros((B, 2 * m + 1))
+    s[:, m : 2 * m] = h0
 
-    for _ in range(steps):
-        k1u, k1h, k1z = f(u, h)
-        k2u, k2h, k2z = f(u + 0.5 * dt * k1u, h + 0.5 * dt * k1h)
-        k3u, k3h, k3z = f(u + 0.5 * dt * k2u, h + 0.5 * dt * k2h)
-        k4u, k4h, k4z = f(u + dt * k3u, h + dt * k3h)
-        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        h = h + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-        z = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    return u, z, h
+    def f(s):
+        k = np.empty_like(s)
+        k[:, :m] = s[:, m : 2 * m]
+        h_swapped = s.take(swap, axis=1)
+        np.multiply(rot, h_swapped, out=k[:, m : 2 * m])
+        cross = s[:, :m] * h_swapped
+        k[:, 2 * m] = drift + np.vecdot(half_d, cross[:, :n] - cross[:, n:])
+        return k
 
-
-def _rk4_flow_numba_impl(p_h, pz, rho, d, t, steps):
-    n = d.shape[0]
-    m = 2 * n
-    u = np.zeros(m)
-    h = p_h.copy()
-    z = 0.0
-    dt = t / steps
-    drift = rho * rho * pz
-
-    ku = np.empty((4, m))
-    kh = np.empty((4, m))
-    kz = np.empty(4)
-    tu = np.empty(m)
-    th = np.empty(m)
-
-    for _ in range(steps):
-        for stage in range(4):
-            if stage == 0:
-                for j in range(m):
-                    tu[j] = u[j]
-                    th[j] = h[j]
-            elif stage == 3:
-                for j in range(m):
-                    tu[j] = u[j] + dt * ku[2, j]
-                    th[j] = h[j] + dt * kh[2, j]
-            else:
-                for j in range(m):
-                    tu[j] = u[j] + 0.5 * dt * ku[stage - 1, j]
-                    th[j] = h[j] + 0.5 * dt * kh[stage - 1, j]
-            dz = drift
-            for i in range(n):
-                di = d[i]
-                kh[stage, i] = -pz * di * th[n + i]
-                kh[stage, n + i] = pz * di * th[i]
-                dz += 0.5 * di * (tu[i] * th[n + i] - tu[n + i] * th[i])
-            for j in range(m):
-                ku[stage, j] = th[j]
-            kz[stage] = dz
-        for j in range(m):
-            u[j] += (dt / 6.0) * (ku[0, j] + 2.0 * ku[1, j] + 2.0 * ku[2, j] + ku[3, j])
-            h[j] += (dt / 6.0) * (kh[0, j] + 2.0 * kh[1, j] + 2.0 * kh[2, j] + kh[3, j])
-        z += (dt / 6.0) * (kz[0] + 2.0 * kz[1] + 2.0 * kz[2] + kz[3])
-    return u, z, h
+    marks = [max(1, round(steps * j / samples)) for j in range(1, samples + 1)]
+    seen = dict.fromkeys(marks)
+    for step in range(1, steps + 1):
+        k1 = f(s)
+        k2 = f(s + half * k1)
+        k3 = f(s + half * k2)
+        k4 = f(s + dt * k3)
+        s = s + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step in seen:
+            # s is rebound each step, never written in place, so this view
+            # keeps the momenta of this step
+            seen[step] = s[:, m : 2 * m]
+    h_at = np.stack([seen[k] for k in marks], axis=1)
+    return s[:, :m], s[:, 2 * m], h_at
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +102,7 @@ def _lex_smaller(a, b, m):
     return False
 
 
-def _svp_enum_py(R, U, c_init):
+def svp_enumerate(R, U, c_init):
     m = R.shape[0]
     x = np.zeros(m, dtype=np.int64)
     hi = np.zeros(m, dtype=np.int64)
@@ -206,97 +170,3 @@ def _svp_enum_py(R, U, c_init):
         hi[i] = int(math.floor((halfw - ssum) / R[i, i] + 1e-9))
 
     return best_norm2, best_v
-
-
-if USING_NUMBA:
-    rk4_flow_numba = njit(cache=True)(_rk4_flow_numba_impl)
-    _lex_smaller_nb = njit(cache=True)(_lex_smaller)
-
-    @njit(cache=True)
-    def svp_enumerate_numba(R, U, c_init):
-        m = R.shape[0]
-        x = np.zeros(m, dtype=np.int64)
-        hi = np.zeros(m, dtype=np.int64)
-        s = np.zeros(m)
-        acc = np.zeros(m)
-        v = np.empty(m)
-
-        best_norm2 = np.inf
-        bound = c_init * (1.0 + 1e-9) + 1e-300
-        best_v = np.zeros(m)
-        has_best = False
-
-        i = m - 1
-        acc[i] = 0.0
-        s[i] = 0.0
-        halfw = math.sqrt(bound)
-        x[i] = np.int64(math.ceil(-halfw / R[i, i] - 1e-9)) - 1
-        hi[i] = np.int64(math.floor(halfw / R[i, i] + 1e-9))
-
-        while True:
-            x[i] += 1
-            if x[i] > hi[i]:
-                i += 1
-                if i >= m:
-                    break
-                continue
-            contrib = (R[i, i] * x[i] + s[i]) ** 2
-            tot = acc[i] + contrib
-            if tot > bound:
-                continue
-            if i == 0:
-                nonzero = False
-                for j in range(m):
-                    if x[j] != 0:
-                        nonzero = True
-                        break
-                if not nonzero:
-                    continue
-                for j in range(m):
-                    acc_v = 0.0
-                    for k in range(m):
-                        acc_v += U[j, k] * x[k]
-                    v[j] = acc_v
-                if (not has_best) or tot < best_norm2 * (1.0 - _TIE_REL):
-                    best_norm2 = tot
-                    bound = tot * (1.0 + 2.0 * _TIE_REL)
-                    for j in range(m):
-                        best_v[j] = v[j]
-                    has_best = True
-                elif tot <= best_norm2 * (1.0 + _TIE_REL):
-                    if _lex_smaller_nb(v, best_v, m):
-                        for j in range(m):
-                            best_v[j] = v[j]
-                    if tot < best_norm2:
-                        best_norm2 = tot
-                        bound = tot * (1.0 + 2.0 * _TIE_REL)
-                continue
-            i -= 1
-            acc[i] = tot
-            ssum = 0.0
-            for j in range(i + 1, m):
-                ssum += R[i, j] * x[j]
-            s[i] = ssum
-            rem = bound - acc[i]
-            halfw = math.sqrt(rem if rem > 0.0 else 0.0)
-            x[i] = np.int64(math.ceil((-halfw - ssum) / R[i, i] - 1e-9)) - 1
-            hi[i] = np.int64(math.floor((halfw - ssum) / R[i, i] + 1e-9))
-
-        return best_norm2, best_v
-
-    rk4_flow = rk4_flow_numba
-    svp_enumerate = svp_enumerate_numba
-else:
-    rk4_flow = _rk4_flow_py
-    svp_enumerate = _svp_enum_py
-
-# Always-available aliases for the benchmark.
-rk4_flow_pure = _rk4_flow_py
-svp_enumerate_pure = _svp_enum_py
-
-
-def warmup():
-    """Trigger jit compilation once so timed paths exclude compile cost."""
-    d = np.array([1.0])
-    rk4_flow(np.array([1.0, 0.0]), 0.5, 1.0, d, 0.1, 4)
-    svp_enumerate(np.eye(2), np.eye(2), 1.0)

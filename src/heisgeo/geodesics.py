@@ -183,36 +183,42 @@ def geodesic_velocity(c: MetricLike, p: Momentum, t: float):
     return wdot, float(dz)
 
 
+def _rk4_one(c, p, t, steps, samples=1):
+    """The RK4 kernel on a single trajectory: (u, z, h at the checkpoints)."""
+    u, z, h_at = _kernels.rk4_flow(
+        p.horizontal()[None], [p.p_z], [c.rho], c.d[None], [float(t)], int(steps), int(samples)
+    )
+    return u[0], float(z[0]), h_at[0]
+
+
 def flow_numeric(c: MetricLike, p: Momentum, t: float, steps: int) -> GroupElement:
     """Fixed-step RK4 integration of the Hamiltonian system; converges to
     geodesic_point at fourth order in the step size."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     c = canonicalize(c)
-    u, z, _ = _kernels.rk4_flow(
-        p.horizontal(), float(p.p_z), float(c.rho), np.asarray(c.d, dtype=np.float64),
-        float(t), int(steps),
-    )
+    u, z, _ = _rk4_one(c, p, t, steps)
     w = c.atilde @ u
     n = c.n
-    return GroupElement(w[:n], w[n:], float(z))
+    return GroupElement(w[:n], w[n:], z)
 
 
 def hamiltonian_along_flow(c: MetricLike, p: Momentum, t: float, steps: int, samples: int = 32):
-    """Values of H = (|h|^2 + rho^2 p_z^2)/2 at `samples` checkpoints of the
-    RK4 flow (conservation diagnostic); the step size matches a `steps`-step
-    integration of the full interval."""
+    """Values of H = (|h|^2 + rho^2 p_z^2)/2 at the start and at `samples`
+    checkpoints of one `steps`-step RK4 integration of [0, t] (conservation
+    diagnostic).  Checkpoint j sits after max(1, round(steps * j / samples))
+    steps; the last one is the end of the interval.
+
+    Raises ValueError when steps < 1 or samples < 1.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     c = canonicalize(c)
-    d = np.asarray(c.d, dtype=np.float64)
-    ph = p.horizontal()
-    out = np.empty(samples + 1)
-    out[0] = 0.5 * (float(ph @ ph) + (c.rho * p.p_z) ** 2)
-    for j in range(1, samples + 1):
-        tj = t * j / samples
-        kj = max(1, round(steps * j / samples))
-        _, _, h = _kernels.rk4_flow(ph, float(p.p_z), float(c.rho), d, tj, kj)
-        out[j] = 0.5 * (float(h @ h) + (c.rho * p.p_z) ** 2)
-    return out
+    _, _, h_at = _rk4_one(c, p, t, steps, samples)
+    h = np.concatenate([p.horizontal()[None], h_at])
+    return 0.5 * (np.vecdot(h, h) + (c.rho * p.p_z) ** 2)
 
 
 def cut_time(c: MetricLike, p: Momentum) -> float:

@@ -23,7 +23,6 @@ from .linalg import shortest_lattice_vector
 from .metric import MetricLike, canonicalize, invariants, standard_symplectic
 
 __all__ = [
-    "StabilizerElement",
     "ConditionCheck",
     "PrecompactnessReport",
     "Constants",
@@ -39,12 +38,6 @@ __all__ = [
 
 _SYMPL_TOL = 1e-9
 _INT_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class StabilizerElement:
-    beta: np.ndarray
-    epsilon: int
 
 
 def in_stabilizer(beta, spec: LatticeSpec):

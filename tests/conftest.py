@@ -1,15 +1,6 @@
 import itertools
 
 import numpy as np
-import pytest
-
-from heisgeo import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # jit compilation happens once here, outside any timed test body
-    _kernels.warmup()
 
 
 def random_orthogonal(rng, m):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from heisgeo import LatticeSpec, SolverFailure
+from heisgeo import LatticeSpec, SolverFailure, _kernels
 from heisgeo.core import GroupElement, group_mul, inverse, symplectic_pairing
 from heisgeo.geodesics import (
     GeodesicArc,
@@ -129,6 +129,79 @@ def test_hamiltonian_conservation():
         p = random_unit_momentum(rng, c)
         H = hamiltonian_along_flow(c, p, 10.0, 20_000, samples=16)
         assert np.max(np.abs(H - H[0])) <= 1e-10 * H[0]
+
+
+def _textbook_rk4(p_h, pz, rho, d, t, steps):
+    """Scalar RK4 over (u, h, z), one stage at a time, written out as in a
+    textbook; the batched kernel performs the same arithmetic."""
+    n = d.shape[0]
+    dt = t / steps
+
+    def f(u, h):
+        dh = np.concatenate([-pz * d * h[n:], pz * d * h[:n]])
+        dz = rho * rho * pz + 0.5 * np.dot(d, u[:n] * h[n:] - u[n:] * h[:n])
+        return h, dh, dz
+
+    u, h, z = np.zeros(2 * n), np.array(p_h, dtype=np.float64), 0.0
+    for _ in range(steps):
+        k1u, k1h, k1z = f(u, h)
+        k2u, k2h, k2z = f(u + 0.5 * dt * k1u, h + 0.5 * dt * k1h)
+        k3u, k3h, k3z = f(u + 0.5 * dt * k2u, h + 0.5 * dt * k2h)
+        k4u, k4h, k4z = f(u + dt * k3u, h + dt * k3h)
+        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        h = h + (dt / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
+        z = z + (dt / 6.0) * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+    return u, z, h
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rk4_rows_are_independent(n):
+    """Each row of a batched call equals the one-row call on that row
+    exactly, and the textbook scalar RK4 on u and h."""
+    rng = np.random.default_rng(40 + n)
+    B, steps = 5, 300
+    p_h = rng.normal(size=(B, 2 * n))
+    pz = rng.normal(size=B)
+    rho = rng.uniform(0.0, 2.0, size=B)
+    d = np.sort(rng.uniform(0.1, 3.0, size=(B, n)), axis=1)
+    t = rng.uniform(0.1, 3.0, size=B)
+    u, z, h_at = _kernels.rk4_flow(p_h, pz, rho, d, t, steps, 3)
+    assert u.shape == (B, 2 * n) and z.shape == (B,) and h_at.shape == (B, 3, 2 * n)
+    for b in range(B):
+        sl = slice(b, b + 1)
+        u1, z1, h1 = _kernels.rk4_flow(p_h[sl], pz[sl], rho[sl], d[sl], t[sl], steps, 3)
+        assert np.array_equal(u1[0], u[b]) and z1[0] == z[b] and np.array_equal(h1[0], h_at[b])
+        u0, z0, h0 = _textbook_rk4(p_h[b], pz[b], rho[b], d[b], t[b], steps)
+        assert np.array_equal(u0, u[b]) and np.array_equal(h0, h_at[b, -1])
+        assert abs(z0 - z[b]) <= 1e-15 * (1.0 + abs(z0))
+
+
+def test_hamiltonian_checkpoints_match_reintegration():
+    """One pass with checkpoints gives the H of integrating afresh from t = 0
+    to each checkpoint at the same step size."""
+    rng = np.random.default_rng(7)
+    steps, samples = 16, 8  # coarse, so H moves visibly from step to step
+    for n in (1, 2, 3):
+        c = canonicalize(MetricMatrix.from_matrix(random_corank0(rng, n)))
+        p = random_unit_momentum(rng, c)
+        t = 0.7 * min(cut_time(c, p), 10.0)
+        H = hamiltonian_along_flow(c, p, t, steps, samples=samples)
+        assert H.shape == (samples + 1,)
+        for j in range(1, samples + 1):
+            kj = steps * j // samples
+            _, _, h_at = _kernels.rk4_flow(
+                p.horizontal()[None], [p.p_z], [c.rho], c.d[None], [t * j / samples], kj
+            )
+            h = h_at[0, -1]
+            want = 0.5 * (float(h @ h) + (c.rho * p.p_z) ** 2)
+            assert abs(H[j] - want) <= 1e-14 * H[0]
+
+
+@pytest.mark.parametrize("steps, samples", [(0, 8), (-3, 8), (100, 0), (100, -1)])
+def test_hamiltonian_along_flow_rejects_bad_counts(steps, samples):
+    c = diag_canonical(1, 1, 1)
+    with pytest.raises(ValueError):
+        hamiltonian_along_flow(c, Momentum([1.0], [0.0], 0.5), 1.0, steps, samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from heisgeo import _kernels
 from heisgeo.linalg import (
     _lll_reduce,
     block_form,
@@ -161,17 +160,3 @@ def test_lll_unimodular():
         Gr, U = _lll_reduce(G)
         assert abs(abs(round(np.linalg.det(U.astype(np.float64)))) - 1) == 0
         assert np.max(np.abs(U.T @ G @ U - Gr)) <= 1e-8 * np.max(np.abs(G))
-
-
-@pytest.mark.skipif(not _kernels.USING_NUMBA, reason="pure-numpy build")
-def test_enumeration_backends_agree():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        G = _random_pd_gram(rng, 4)
-        Gr, U = _lll_reduce(G)
-        R = np.linalg.cholesky(Gr).T
-        c0 = float(np.min(np.diag(Gr)))
-        n1, v1 = _kernels.svp_enumerate(R, U.astype(np.float64), c0)
-        n2, v2 = _kernels.svp_enumerate_pure(R, U.astype(np.float64), c0)
-        assert n1 == pytest.approx(n2, rel=1e-14)
-        assert np.array_equal(v1, v2)
