@@ -29,7 +29,6 @@ from .errors import (
 from .geodesics import (
     GeodesicArc,
     Momentum,
-    SolverOptions,
     cut_time,
     distance,
     flow_numeric,

@@ -8,14 +8,14 @@ the rationals, e.g. "1", "k", "1/k", "k**2/2").
 
 All outputs are JSON on stdout with sorted keys and shortest round-trip float
 rendering, so identical invocations are byte-identical; errors are JSON on
-stderr with exit code 1 (validation) or 2 (solver failure).  --csv switches
-tabular sequence reports to CSV.  HEISGEO_SEED perturbs the shooting grid for
-stress testing; the default grid is already deterministic.
+stderr with exit code 1 (validation, including a quotient search box over its
+size limit) or 2 (a distance that fails its endpoint check).  --csv switches
+tabular sequence reports to CSV.  Distances come from an exact
+one-dimensional solve with no random or tunable parts.
 """
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -25,7 +25,6 @@ from .core import GroupElement, LatticeSpec
 from .errors import SolverFailure
 from .geodesics import (
     Momentum,
-    SolverOptions,
     distance,
     geodesic_point,
     quotient_distance,
@@ -137,16 +136,6 @@ def _parse_floats(text, expect=None):
     return vals
 
 
-def _solver_options(args):
-    opts = SolverOptions()
-    if getattr(args, "grid_size", None):
-        opts.grid_size = args.grid_size
-    seed = os.environ.get("HEISGEO_SEED")
-    if seed is not None:
-        opts.seed = int(seed)
-    return opts
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -233,12 +222,11 @@ def _cmd_distance(args):
     vals = _parse_floats(args.target, 2 * m.n + 1)
     g = GroupElement.from_coords(vals)
     c = canonicalize(m)
-    opts = _solver_options(args)
     if args.quotient:
-        val = quotient_distance(c, lattice, g, opts)
+        val = quotient_distance(c, lattice, g)
         _emit({"distance": val, "quotient": True})
     else:
-        val, p = distance(c, g, opts)
+        val, p = distance(c, g)
         _emit(
             {
                 "distance": val,
@@ -375,7 +363,6 @@ def _build_parser():
     p = with_input(sub.add_parser("distance"))
     p.add_argument("--target", required=True, help="x..,y..,z coordinates")
     p.add_argument("--quotient", action="store_true")
-    p.add_argument("--grid-size", type=int, dest="grid_size")
     p.set_defaults(func=_cmd_distance)
 
     p = with_input(sub.add_parser("check"))

@@ -1,6 +1,6 @@
 """Normal geodesics of (H_n, A): closed-form exponential map, RK4 flow as a
-numerical oracle, cut time, vertical distance in closed form, and
-shooting-based distance on H_n and on quotients by a lattice.
+numerical oracle, cut time, vertical distance in closed form, and exact
+distances on H_n (one bracketed root in p_z) and on quotients by a lattice.
 
 Conventions.  A geodesic from the identity is determined by the frame momenta
 (p_x, p_y) = (h_{x_i}(0), h_{y_i}(0)) along the orthonormal horizontal frame
@@ -17,25 +17,32 @@ in frame coordinates u, and straight lines u = t p_h, z = 0 for p_z = 0.
 Standard coordinates are w = Atilde u.  Geodesics with p_z != 0 minimize up
 to t = 2 pi / (|p_z| d_n).  Only normal extremals exist on H_n, so this is
 the whole geodesic flow.
+
+Distance.  At t = 1 block i of the endpoint is u_i = s(theta_i) Rot(theta_i/2)
+p_i with s(theta) = sin(theta/2)/(theta/2), so p_z alone fixes p_h, and the
+height becomes one function of p_z,
+
+    z(p_z) = rho^2 p_z + sum_i a_i d_i q(theta_i) / (2 s(theta_i)^2),
+
+with a_i = |u_i|^2 and q(theta) = (theta - sin theta)/theta^2.  It increases
+strictly on (-2 pi/d_n, 2 pi/d_n) (Gaveau 1977; Agrachev-Barilari-Boscain,
+"A Comprehensive Introduction to Sub-Riemannian Geometry"), so one bracketed
+root gives the minimizer, of length sqrt(sum_i a_i/s(theta_i)^2 + rho^2 p_z^2).
 """
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from . import _kernels
-from .core import GroupElement, LatticeSpec, group_mul, symplectic_pairing
+from .core import GroupElement, LatticeSpec
 from .errors import SolverFailure
 from .metric import CanonicalMetric, MetricLike, canonicalize
 
 __all__ = [
     "Momentum",
     "GeodesicArc",
-    "SolverOptions",
     "geodesic_point",
     "geodesic_velocity",
     "flow_numeric",
@@ -108,23 +115,20 @@ class GeodesicArc:
         return self.momentum.speed(self.metric)
 
 
+def _sinc_series(t2):
+    """6 (1 - sin(theta)/theta) / theta^2 in t2 = theta^2: the nested
+    alternating series through theta^14, truncation < 2e-14 relative on
+    |theta| < 1, where the direct formula would lose ~8 digits."""
+    return 1.0 - t2 / 20.0 * (
+        1.0 - t2 / 42.0 * (1.0 - t2 / 72.0 * (1.0 - t2 / 110.0 * (1.0 - t2 / 156.0 * (1.0 - t2 / 210.0))))
+    )
+
+
 def _one_minus_sinc(theta):
     """1 - sin(theta)/theta, elementwise, without cancellation near 0."""
     theta = np.asarray(theta, dtype=np.float64)
     t2 = theta * theta
-    # nested alternating series through theta^14; truncation < 2e-14 relative
-    # on |theta| < 1, where the direct formula would lose ~8 digits
-    series = t2 / 6.0 * (
-        1.0
-        - t2
-        / 20.0
-        * (
-            1.0
-            - t2
-            / 42.0
-            * (1.0 - t2 / 72.0 * (1.0 - t2 / 110.0 * (1.0 - t2 / 156.0 * (1.0 - t2 / 210.0))))
-        )
-    )
+    series = t2 / 6.0 * _sinc_series(t2)
     with np.errstate(invalid="ignore", divide="ignore"):
         direct = 1.0 - np.sin(theta) / theta
     return np.where(np.abs(theta) < 1.0, series, direct)
@@ -235,7 +239,8 @@ def vertical_distance(c: MetricLike, p_coord: float):
     Two branches: |p| <= 2 pi rho^2 / d_n is reached by the vertical line
     exp(t rho Z) at cost |p / rho|; beyond that (always, when rho = 0) the
     minimizer swirls in the top d-eigenblock and costs
-    (2 / d_n) sqrt(|p| pi d_n - pi^2 rho^2).
+    (2 / d_n) sqrt(|p| pi d_n - pi^2 rho^2).  This is the case u = 0 of
+    `distance`, kept in closed form as its cross-check.
     """
     c = canonicalize(c)
     n = c.n
@@ -251,227 +256,212 @@ def vertical_distance(c: MetricLike, p_coord: float):
     dist = (2.0 / dn) * math.sqrt(abs(p) * np.pi * dn - (np.pi * c.rho) ** 2)
     pz = sign * math.sqrt(np.pi / (abs(p) * dn - np.pi * c.rho**2))
     ph2 = max(1.0 - (c.rho * pz) ** 2, 0.0)
-    # free phase fixed: all horizontal momentum on the first coordinate of
-    # the top d-eigenblock
-    m_top = int(np.argmax(c.d >= dn * (1.0 - 1e-9)))
+    # free phase fixed: all horizontal momentum on p_x of block n, whose d is
+    # exactly d_n, so the arc closes at the cut time
     px = zeros.copy()
-    px[m_top] = math.sqrt(ph2)
+    px[-1] = math.sqrt(ph2)
     return dist, Momentum(px, zeros, pz)
 
 
-@dataclass
-class SolverOptions:
-    """Multi-start shooting configuration.
-
-    grid_size is the number of closed-form endpoint evaluations used to seed
-    the root finder; refine_starts of them (best residual first) are polished
-    with a quasi-Newton solve.  seed perturbs the deterministic grid and
-    exists for stress testing only.
-    """
-
-    grid_size: int = 4096
-    refine_starts: int = 48
-    residual_tol: float = 1e-9
-    seed: Optional[int] = None
+# A d_i within this relative distance of d_n belongs to the top block.
+_TOP_BLOCK_REL = 1e-12
+# A top-block part of the target below this (relative to 1 + |u|) is treated
+# as zero: the cut-time minimizer then misses the target by at most this much.
+_TOP_PART_REL = 1e-10
+# Scaled endpoint residual a returned minimizer must meet.
+_RESIDUAL_TOL = 1e-9
+# Most candidate cells quotient_distance searches.
+QUOTIENT_BOX_LIMIT = 500_000
 
 
-def _direction_set(n2, count, rng):
-    """Deterministic unit directions in R^{n2}: equal angles for n2 = 2,
-    otherwise a fixed-seed Gaussian cloud plus the coordinate axes."""
-    if n2 == 2:
-        ang = 2.0 * np.pi * np.arange(count) / max(count, 1)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    axes = np.concatenate([np.eye(n2), -np.eye(n2)], axis=0)
-    extra = max(count - 2 * n2, 0)
-    g = rng.standard_normal((extra, n2))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return np.concatenate([axes, g], axis=0)
+def _height(d, rho, a, pz):
+    """z(p_z) of the module docstring for block energies a: the height at time
+    1 of the geodesic with vertical momentum pz through frame point u."""
+    z = rho * rho * pz
+    for di, ai in zip(d, a):
+        if ai:
+            theta = pz * di
+            half = 0.5 * theta
+            if abs(theta) < 1.0:  # q(theta) by its series
+                q = theta / 6.0 * _sinc_series(theta * theta)
+            else:
+                q = (theta - math.sin(theta)) / (theta * theta)
+            s = math.sin(half) / half if half else 1.0
+            z += ai * di * q / (2.0 * s * s)
+    return z
 
 
-def _shooting_grid(c, u_t, z_t, opts):
-    """Momenta p with endpoint(p, 1) expected to land near the target."""
-    n2 = 2 * c.n
-    dn = float(c.d[-1])
-    rng = np.random.default_rng(0x5EED if opts.seed is None else opts.seed)
-
-    k = max(int(round(opts.grid_size ** (1.0 / 3.0))), 6)
-    n_dir, n_rad, n_pz = k, k, k
-
-    dirs = _direction_set(n2, n_dir, rng)
-    un = float(np.linalg.norm(u_t))
-    # distance upper-bound scale: horizontal reach plus vertical swirl cost
-    vert = 2.0 * math.sqrt(np.pi * abs(z_t) / dn) if z_t != 0.0 else 0.0
-    reach = max(un + vert, un, 1e-6)
-    radii = np.concatenate([[0.0], reach * np.linspace(0.08, 1.25, n_rad - 1)])
-    if un > 0:
-        radii = np.concatenate([radii, un * np.array([0.95, 1.0, 1.05])])
-
-    pz_max = 2.0 * np.pi / dn * 1.02
-    ladder = pz_max * (np.arange(1, n_pz + 1) / n_pz) ** 1.7
-    pzs = np.concatenate([[0.0], ladder, -ladder])
-
-    ph = (radii[:, None, None] * dirs[None, :, :]).reshape(-1, n2)
-    ph = np.unique(ph, axis=0)
-    G = ph.shape[0] * pzs.shape[0]
-    ph_all = np.repeat(ph, pzs.shape[0], axis=0)
-    pz_all = np.tile(pzs, ph.shape[0])
-    if G > opts.grid_size * 4:
-        keep = np.linspace(0, G - 1, opts.grid_size * 4).astype(int)
-        ph_all, pz_all = ph_all[keep], pz_all[keep]
-    return ph_all, pz_all
+def _solve_pz(d, rho, a, z, pz_cut):
+    """The root of _height(p_z) = z on (-pz_cut, pz_cut), by bisection down to
+    adjacent floats."""
+    lo, hi = -pz_cut, pz_cut
+    for _ in range(200):  # a root near 0 would take ~1000 halvings to denormals
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        zm = _height(d, rho, a, mid)
+        if zm == z:
+            return mid
+        if zm < z:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
-def distance(c: MetricLike, target: GroupElement, opts: Optional[SolverOptions] = None):
+def _unit_and_residual(c, u, z, ph, pz):
+    """(length, unit momentum, scaled residual) of the momentum (ph, pz) that
+    is meant to reach frame point (u, z) at time 1; the residual is taken on
+    the closed-form endpoint of the unit momentum at time `length`."""
+    n = c.n
+    length = math.sqrt(float(ph @ ph) + (c.rho * pz) ** 2)
+    ph, pz = ph / length, pz / length
+    u_end, z_end = _endpoint_frame(c.d, c.rho, ph, np.float64(pz), length)
+    residual = max(
+        float(np.max(np.abs(u_end - u))) / (1.0 + float(np.linalg.norm(u))),
+        abs(float(z_end) - z) / (1.0 + abs(z)),
+    )
+    return length, Momentum(ph[:n], ph[n:], pz), residual
+
+
+def distance(c: MetricLike, target: GroupElement):
     """Distance from the identity to `target`, with a realizing unit momentum.
 
-    Multi-start shooting on the closed-form endpoint map at time 1: a root
-    p of endpoint(p, 1) = target gives a geodesic of length |p|_A, and the
-    endpoint map's homogeneity endpoint(s*p, 1) = endpoint(p, s) makes that
-    the geodesic's arc length.  Roots past their cut time are discarded; the
-    smallest surviving length wins.  Raises SolverFailure (with the best
-    residual) rather than returning an unconverged number.
+    With u = Atilde^-1 w the target's frame coordinates and z its height, the
+    minimizer's p_z is the root of z(p_z) = z on (-2 pi/d_n, 2 pi/d_n) (see
+    the module docstring), found by bisection; p_z then fixes the frame
+    momenta p_i = Rot(-theta_i/2) u_i / s(theta_i).  When u has no part in the
+    top d-block and |z| is at or past the limit height z(+-2 pi/d_n) of the
+    other blocks, the minimizer sits at the cut time instead: p_z = +-2 pi/d_n
+    and the top block, which closes there, carries |p_top|^2 =
+    2 p_z (z - z_limit).
+
+    Every answer is verified: the closed-form endpoint of the unit momentum at
+    time `distance` must reach the target to a scaled residual of 1e-9 (the
+    larger of |u_end - u| / (1 + |u|) and |z_end - z| / (1 + |z|)).  Near the
+    cut time s(theta_n) keeps few correct digits and the height misses; when
+    the residual exceeds 1e-12, the top block's momentum is also tried
+    rescaled so that the height comes out exact, which moves u only by that
+    relative error of s times |u_top|, and the better of the two is kept.  If
+    the check still fails, SolverFailure is raised with the residual.
     """
     c = canonicalize(c)
-    if opts is None:
-        opts = SolverOptions()
     n = c.n
-    w_t = np.concatenate([target.x, target.y])
-    z_t = float(target.z)
-    u_t = np.linalg.solve(c.atilde, w_t)
-    if np.linalg.norm(u_t) == 0.0 and z_t == 0.0:
+    u = np.linalg.solve(c.atilde, np.concatenate([target.x, target.y]))
+    z = float(target.z)
+    a = [float(v) for v in u[:n] ** 2 + u[n:] ** 2]
+    if not any(a) and z == 0.0:
         return 0.0, Momentum(np.zeros(n), np.zeros(n), 0.0)
-
-    su = 1.0 + np.linalg.norm(u_t)
-    sz = 1.0 + abs(z_t)
-    d = np.asarray(c.d, dtype=np.float64)
+    d = [float(v) for v in c.d]
     rho = float(c.rho)
-    dn = float(d[-1])
+    pz_cut = 2.0 * math.pi / d[-1]
+    top = np.asarray(c.d) >= d[-1] * (1.0 - _TOP_BLOCK_REL)
+    rest = [0.0 if t else ai for ai, t in zip(a, top)]
+    a_top = [ai - ri for ai, ri in zip(a, rest)]
 
-    ph_all, pz_all = _shooting_grid(c, u_t, z_t, opts)
-    u_end, z_end = _endpoint_frame(d, rho, ph_all, pz_all, 1.0)
-    res = np.sum(((u_end - u_t) / su) ** 2, axis=1) + ((z_end - z_t) / sz) ** 2
-    order = np.argsort(res)
+    at_cut = False
+    if sum(a_top) <= (_TOP_PART_REL * (1.0 + math.sqrt(sum(a)))) ** 2:
+        pz = math.copysign(pz_cut, z)
+        z_limit = _height(d, rho, rest, pz)
+        at_cut = abs(z) >= abs(z_limit)
+    if not at_cut:
+        pz = _solve_pz(d, rho, a, z, pz_cut)
 
-    def fun(q):
-        u, z = _endpoint_frame(d, rho, q[:-1], np.float64(q[-1]), 1.0)
-        out = np.empty(2 * n + 1)
-        out[: 2 * n] = (u - u_t) / su
-        out[-1] = (z - z_t) / sz
-        return out
-
-    best_len = np.inf
-    best_p = None
-    best_residual = float(np.sqrt(res[order[0]]))
-    for idx in order[: opts.refine_starts]:
-        q0 = np.concatenate([ph_all[idx], [pz_all[idx]]])
-        sol = scipy.optimize.root(fun, q0, method="hybr", options={"xtol": 1e-13})
-        q = sol.x
-        resid = float(np.max(np.abs(fun(q))))
-        best_residual = min(best_residual, resid)
-        if resid > opts.residual_tol:
-            continue
-        ph, pz = q[:-1], float(q[-1])
-        length = math.sqrt(float(ph @ ph) + (rho * pz) ** 2)
-        if length == 0.0:
-            continue
-        # minimizing arcs do not continue past the cut time
-        if abs(pz) * dn > 2.0 * np.pi * (1.0 + 1e-9):
-            continue
-        if length < best_len:
-            best_len = length
-            best_p = Momentum(ph[:n] / length, ph[n:] / length, pz / length)
-
-    if best_p is None:
+    theta = pz * c.d
+    cos_h, sin_h = np.cos(0.5 * theta), np.sin(0.5 * theta)
+    ux, uy = u[:n], u[n:]
+    ph = np.concatenate([cos_h * ux + sin_h * uy, cos_h * uy - sin_h * ux])
+    ph /= np.tile(np.sinc(theta / (2.0 * np.pi)), 2)  # s(theta)
+    if at_cut:
+        ph[np.tile(top, 2)] = 0.0
+        ph[n - 1] = math.sqrt(2.0 * pz * (z - z_limit))
+    best = _unit_and_residual(c, u, z, ph, pz)
+    if best[2] > 1e-3 * _RESIDUAL_TOL and not at_cut and any(a_top):
+        grow = (z - _height(d, rho, rest, pz)) / _height(d, 0.0, a_top, pz)
+        ph[np.tile(top, 2)] *= math.sqrt(max(grow, 0.0))
+        best = min(best, _unit_and_residual(c, u, z, ph, pz), key=lambda r: r[2])
+    length, p, residual = best
+    if not residual <= _RESIDUAL_TOL:
         raise SolverFailure(
-            f"no shooting branch converged (best residual {best_residual:.3e})",
-            best_residual=best_residual,
+            f"minimizer misses the target (scaled residual {residual:.3e})",
+            best_residual=residual,
         )
-    lower = float(np.linalg.norm(u_t))
-    if best_len < lower - 1e-9 * (1.0 + lower):
-        raise SolverFailure(
-            f"converged length {best_len} violates the horizontal lower bound {lower}",
-            best_residual=best_residual,
-        )
-    return best_len, best_p
+    return length, p
 
 
-def _vertical_reach_time(dn, rho, z):
-    """Smallest T with d_n T^2 / 4 + rho T >= |z|: lower bound on the distance
-    to any point with vertical coordinate z."""
-    z = abs(z)
-    if z == 0.0:
-        return 0.0
-    return (-rho + math.sqrt(rho * rho + dn * z)) * 2.0 / dn
+def _reduce_to_domain(x, y, z, r):
+    """gamma * (x, y, z) for the lattice point gamma that moves it into the
+    fundamental domain x_i in [0, r_i), y_i in [0, 1), z in [-1/2, 1/2)."""
+    gx = -r * np.floor(x / r)
+    gy = -np.floor(y)
+    z = z + 0.5 * float(gx @ gy) + 0.5 * float(gx @ y - gy @ x)
+    return x + gx, y + gy, z - math.floor(z + 0.5)
 
 
-def quotient_distance(
-    c: MetricLike,
-    spec: LatticeSpec,
-    target: GroupElement,
-    opts: Optional[SolverOptions] = None,
-) -> float:
+def quotient_distance(c: MetricLike, spec: LatticeSpec, target: GroupElement) -> float:
     """Distance from the identity coset to the coset of `target` in the
     quotient by the lattice: min over lattice translates gamma * target.
 
-    The candidate box is derived from exact lower bounds (horizontal norm and
-    vertical reachability), seeded by the distance to the untranslated target
-    and shrunk as better translates are found.
+    The target is first moved into the fundamental domain, which keeps its
+    coset, and the distance L to that point seeds the bound.  Every translate
+    closer than L lies in a box: |Atilde^-1 w| <= L bounds (x, y), and the
+    height a curve of length L reaches, d_n L^2 / 4 + rho L, bounds z.  The
+    whole box is built with numpy; `distance` runs only on translates whose
+    lower bound (the larger of the horizontal norm and the length needed to
+    reach their height) beats the best distance so far.
+
+    Raises ValueError, before building anything, when the box holds more
+    than QUOTIENT_BOX_LIMIT cells.
     """
     c = canonicalize(c)
     n = c.n
-    best, _ = distance(c, target, opts)
+    r = np.asarray(spec.r, dtype=np.float64)
+    hx, hy, hz = _reduce_to_domain(target.x, target.y, float(target.z), r)
+    best, _ = distance(c, GroupElement(hx, hy, hz))
     if best == 0.0:
         return 0.0
-    sigma_max = float(np.linalg.svd(c.atilde, compute_uv=False)[0])
     dn = float(c.d[-1])
     rho = float(c.rho)
-    w_t = np.concatenate([target.x, target.y])
-    z_bound = dn * best**2 / 4.0 + rho * best
-
-    r = np.asarray(spec.r, dtype=np.float64)
-    reach = sigma_max * best
-    alpha_ranges = [
-        range(math.ceil((-w_t[i] - reach) / r[i]), math.floor((-w_t[i] + reach) / r[i]) + 1)
-        for i in range(n)
-    ]
-    beta_ranges = [
-        range(math.ceil(-w_t[n + i] - reach), math.floor(-w_t[n + i] + reach) + 1)
-        for i in range(n)
-    ]
-
-    candidates = []
     ainv = np.linalg.inv(c.atilde)
+    w = np.concatenate([hx, hy])
+    period = np.concatenate([r, np.ones(n)])
+    reach = float(np.linalg.svd(c.atilde, compute_uv=False)[0]) * best
+    z_bound = dn * best * best / 4.0 + rho * best
 
-    def add_candidates():
-        for alpha in itertools.product(*alpha_ranges):
-            x = r * np.asarray(alpha, dtype=np.float64)
-            for beta in itertools.product(*beta_ranges):
-                y = np.asarray(beta, dtype=np.float64)
-                base_z = 0.5 * float(np.dot(x, y))
-                gamma0 = GroupElement(x, y, base_z)
-                h0 = group_mul(gamma0, target)
-                m_center = -h0.z
-                m_lo = math.ceil(m_center - z_bound)
-                m_hi = math.floor(m_center + z_bound)
-                for mz in range(m_lo, m_hi + 1):
-                    hz = h0.z + mz
-                    hw = np.concatenate([h0.x, h0.y])
-                    lb = max(
-                        float(np.linalg.norm(ainv @ hw)),
-                        _vertical_reach_time(dn, rho, hz),
-                    )
-                    candidates.append((lb, GroupElement(h0.x, h0.y, hz)))
-        if len(candidates) > 500_000:
-            raise RuntimeError("quotient enumeration box too large")
+    lo = np.ceil((-w - reach) / period)
+    hi = np.floor((-w + reach) / period)
+    sizes = [max(int(v), 0) for v in hi - lo + 1.0]
+    cells = math.prod(sizes)
+    if cells * (2 * math.floor(z_bound) + 2) > QUOTIENT_BOX_LIMIT:
+        raise ValueError(
+            f"quotient search box of about {cells} x {2 * math.floor(z_bound) + 2} cells "
+            f"exceeds the limit of {QUOTIENT_BOX_LIMIT}"
+        )
+    axes = [period[i] * np.arange(lo[i], hi[i] + 1.0) for i in range(2 * n)]
+    g = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * n)
+    gx, gy = g[:, :n], g[:, n:]
+    hw = g + w
+    z0 = hz + 0.5 * np.vecdot(gx, gy) + 0.5 * (gx @ hy - gy @ hx)
+    lb_w = np.linalg.norm(hw @ ainv.T, axis=1)
+    near = lb_w < best - 1e-12
+    g, hw, z0, lb_w = g[near], hw[near], z0[near], lb_w[near]
 
-    add_candidates()
-    candidates.sort(key=lambda t: t[0])
-    for lb, h in candidates:
-        if lb >= best - 1e-12:
+    m_lo = np.ceil(-z0 - z_bound)
+    counts = np.maximum(np.floor(-z0 + z_bound) - m_lo + 1.0, 0.0).astype(np.int64)
+    cell = np.repeat(np.arange(g.shape[0]), counts)
+    first = np.cumsum(counts) - counts
+    m = m_lo[cell] + (np.arange(cell.shape[0]) - first[cell])
+    hz_all = z0[cell] + m
+    # smallest T with d_n T^2 / 4 + rho T >= |z|: the length needed to reach
+    # height z
+    lb_z = (np.sqrt(rho * rho + dn * np.abs(hz_all)) - rho) * 2.0 / dn
+    lb = np.maximum(lb_w[cell], lb_z)
+    lb[~np.any(g, axis=1)[cell] & (m == 0.0)] = np.inf  # the seed itself
+
+    for k in np.argsort(lb, kind="stable"):
+        if lb[k] >= best - 1e-12:
             break
-        if np.linalg.norm(h.coords()) == 0.0:
-            return 0.0
-        dist_h, _ = distance(c, h, opts)
-        if dist_h < best:
-            best = dist_h
+        hk = hw[cell[k]]
+        dist_k, _ = distance(c, GroupElement(hk[:n], hk[n:], hz_all[k]))
+        best = min(best, dist_k)
     return best

@@ -179,7 +179,7 @@ def test_criterion_4_geodesic_oracle_equivalence():
 
 
 def test_criterion_5_vertical_distance_cross_check():
-    with criterion(5, "shooting vs vertical closed form"):
+    with criterion(5, "1-D distance solve vs vertical closed form"):
         rng = np.random.default_rng(1005)
         for _ in range(200):
             rho = float(rng.uniform(0.1, 2.0))

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import heisgeo.cli as cli
+from heisgeo import geodesics
 from heisgeo.errors import SolverFailure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -263,13 +267,44 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_seed_env_reproducible(capsys, monkeypatch):
-    monkeypatch.setenv("HEISGEO_SEED", "123")
+    # the distance solve has no random or tunable parts: two runs print the
+    # same bytes, and the old HEISGEO_SEED variable changes nothing
+    monkeypatch.delenv("HEISGEO_SEED", raising=False)
     args = ["distance", "--input", str(FIXTURES / "identity-h1.json"), "--target", "0.3,0.2,0.7"]
     code1, out1, _ = run_cli(capsys, *args)
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["distance"] > 0
+    monkeypatch.setenv("HEISGEO_SEED", "123")
+    assert run_cli(capsys, *args)[1] == out1
+
+
+def test_quotient_box_too_large_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(geodesics, "QUOTIENT_BOX_LIMIT", 1)
+    code, out, err = run_cli(
+        capsys,
+        "distance",
+        "--input",
+        str(FIXTURES / "identity-h1.json"),
+        "--target",
+        "0.5,0,0",
+        "--quotient",
+    )
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "ValueError"
+    assert "exceeds the limit" in doc["error"]["message"]
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, heisgeo.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_sequence_fixtures_reproduce_reference_values(capsys):

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from heisgeo import LatticeSpec, SolverFailure, _kernels
+from heisgeo import LatticeSpec, SolverFailure, _kernels, geodesics
 from heisgeo.core import GroupElement, group_mul, inverse, symplectic_pairing
 from heisgeo.geodesics import (
     GeodesicArc,
     Momentum,
-    SolverOptions,
     cut_time,
     distance,
     flow_numeric,
@@ -22,6 +21,7 @@ from heisgeo.geodesics import (
 from heisgeo.metric import MetricMatrix, canonicalize
 
 from conftest import random_corank0, random_corank1
+from shooting_oracle import SolverOptions, shooting_distance
 
 
 def diag_canonical(*entries):
@@ -368,11 +368,141 @@ def test_distance_roundtrip_known_geodesic_n2():
 
 
 def test_distance_unreachable_residual_reported():
+    # the shooting oracle with no refined start cannot land on the target
     c = diag_canonical(1, 1, 1)
     opts = SolverOptions(grid_size=8, refine_starts=0)
     with pytest.raises(SolverFailure) as err:
-        distance(c, GroupElement([0.3], [0.1], 0.4), opts)
+        shooting_distance(c, GroupElement([0.3], [0.1], 0.4), opts)
     assert err.value.best_residual is not None
+
+
+def _canonical_metric(rng, n, corank, spread):
+    """Canonical metric blockdiag(S diag(sqrt d, sqrt d), rho) Q with d_n / d_1
+    up to `spread`, S symplectic (a shear times a block diag(C, C^-T)), Q a
+    frame rotation; its inner automorphism P is the identity."""
+    d = np.exp(rng.uniform(0.0, np.log(spread), size=n)) * rng.uniform(0.3, 1.5)
+    B = rng.uniform(-0.5, 0.5, size=(n, n))
+    C = np.eye(n) + rng.uniform(-0.3, 0.3, size=(n, n))
+    S = np.block([[np.eye(n), B + B.T], [np.zeros((n, n)), np.eye(n)]])
+    S = S @ np.block([[C, np.zeros((n, n))], [np.zeros((n, n)), np.linalg.inv(C).T]])
+    A = np.zeros((2 * n + 1, 2 * n + 1))
+    A[: 2 * n, : 2 * n] = S @ np.diag(np.sqrt(np.concatenate([d, d])))
+    A[-1, -1] = 0.0 if corank else rng.uniform(0.2, 2.0)
+    q, r = np.linalg.qr(rng.standard_normal((2 * n + 1, 2 * n + 1)))
+    return canonicalize(MetricMatrix.from_matrix(A @ (q * np.sign(np.diag(r)))))
+
+
+def _frame_target(c, u, z):
+    w = c.atilde @ u
+    return GroupElement(w[: c.n], w[c.n :], z)
+
+
+def _scaled_miss(c, mom, dist, target):
+    """Scaled residual of the arc (mom, dist) against the target, in frame
+    coordinates: the measure `distance` itself guarantees."""
+    g = geodesic_point(c, mom, dist)
+    u_t = np.linalg.solve(c.atilde, target.coords()[:-1])
+    u_g = np.linalg.solve(c.atilde, g.coords()[:-1])
+    return max(
+        float(np.max(np.abs(u_g - u_t))) / (1.0 + float(np.linalg.norm(u_t))),
+        abs(g.z - target.z) / (1.0 + abs(target.z)),
+    )
+
+
+def test_distance_matches_shooting_oracle():
+    """On random targets where multi-start shooting converges, the 1-D solve
+    returns the same length, its arc reaches the target, and z(p_z) increases
+    strictly, so the root it found is the only one."""
+    rng = np.random.default_rng(50)
+    compared = 0
+    for i in range(36):
+        n, corank = 1 + i % 3, (i // 3) % 2
+        c = _canonical_metric(rng, n, corank, spread=4.0)
+        u = rng.normal(size=2 * n) * rng.uniform(0.2, 1.5)
+        target = _frame_target(c, u, float(rng.uniform(-3.0, 3.0)))
+        got, mom = distance(c, target)
+        assert mom.speed(c) == pytest.approx(1.0, abs=1e-12)
+        assert _scaled_miss(c, mom, got, target) <= 1e-9
+        a = u[:n] ** 2 + u[n:] ** 2
+        pz_cut = 2.0 * np.pi / float(c.d[-1])
+        grid = np.linspace(-pz_cut, pz_cut, 2001)[1:-1]
+        heights = [geodesics._height(c.d, c.rho, a, pz) for pz in grid]
+        assert np.all(np.diff(heights) > 0.0)
+        try:
+            want, _ = shooting_distance(c, target)
+        except SolverFailure:
+            continue
+        compared += 1
+        assert got == pytest.approx(want, rel=1e-9)
+    assert compared >= 30
+
+
+@pytest.mark.parametrize(
+    "z, want",
+    [
+        (40.0, 21.17683606534877),
+        (100.0, 34.53320348395989),
+        (150.0, 42.60238111319353),
+        (300.0, 60.71864726610821),
+        (1000.0, 111.56361944351676),
+    ],
+)
+def test_distance_tall_target_identity_h1(z, want):
+    """Multi-start shooting raised SolverFailure here for z >= 100: every root
+    it found lay past the cut time.  Reference values from the 1-D reduction
+    in perfbench/reference.py; the RK4 flow confirms the arc's endpoint."""
+    c = diag_canonical(1, 1, 1)
+    target = GroupElement([0.3], [0.2], z)
+    got, mom = distance(c, target)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert abs(mom.p_z) * got <= 2.0 * np.pi  # before the cut time
+    reached = flow_numeric(c, mom, got, 4000).coords()
+    assert np.max(np.abs(reached - target.coords())) <= 1e-8 * (1.0 + z)
+
+
+@pytest.mark.parametrize(
+    "u, z, want",
+    [
+        ((0.59, 0.41, 0.38, 0.43, 0.39, -0.08), -0.013, 1.0019989445851762),
+        ((-0.42, -0.19, -0.09, -0.6, 0.53, 0.38), -0.01, 1.0029462175191308),
+    ],
+)
+def test_distance_spread_d_corank1(u, z, want):
+    """n = 3, corank 1, d = (0.70, 42.0, 58.2): multi-start shooting found no
+    root on these near-horizontal targets."""
+    sq = np.sqrt([0.70, 42.0, 58.2])
+    c = canonicalize(MetricMatrix.from_matrix(np.diag(np.concatenate([sq, sq, [0.0]]))))
+    target = _frame_target(c, np.asarray(u), z)
+    got, mom = distance(c, target)
+    assert got == pytest.approx(want, rel=1e-12)
+    assert _scaled_miss(c, mom, got, target) <= 1e-9
+
+
+def test_distance_sweep_never_fails():
+    """1000 seeded targets: n = 1..3, both coranks, d_n / d_1 up to 100,
+    |z| from 1e-3 to 1e3.  A quarter of them have no part in the top d-block
+    (the minimizer may sit at the cut time), a quarter only a part of
+    1e-12 to 1e-4 of |u| there (the root may lie just short of the cut time).
+    Every call returns a unit momentum whose arc reaches the target."""
+    rng = np.random.default_rng(60)
+    metrics = [_canonical_metric(rng, 1 + i % 3, (i // 3) % 2, spread=100.0) for i in range(60)]
+    worst = 0.0
+    for k in range(1000):
+        c = metrics[k % len(metrics)]
+        n = c.n
+        u = rng.normal(size=2 * n) * rng.uniform(0.2, 3.0)
+        if k % 4 < 2:
+            top = c.d >= c.d[-1] * (1.0 - 1e-12)
+            shrink = 0.0 if k % 4 == 0 else 10.0 ** rng.uniform(-12.0, -4.0)
+            u[: n][top] *= shrink
+            u[n:][top] *= shrink
+        z = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))) * rng.choice([-1.0, 1.0])
+        target = _frame_target(c, u, z)
+        got, mom = distance(c, target)
+        assert got >= float(np.linalg.norm(u)) * (1.0 - 1e-12)
+        assert mom.speed(c) == pytest.approx(1.0, abs=1e-12)
+        worst = max(worst, _scaled_miss(c, mom, got, target))
+    assert worst <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -431,3 +561,42 @@ def test_quotient_distance_equals_group_distance_inside_cell():
     got = quotient_distance(c, spec, target)
     direct, _ = distance(c, target)
     assert got == pytest.approx(direct, abs=1e-8)
+
+
+def _random_lattice(rng, n):
+    r = [int(rng.integers(1, 3))]
+    for _ in range(n - 1):
+        r.append(r[-1] * int(rng.integers(1, 3)))
+    return LatticeSpec(tuple(r))
+
+
+def test_quotient_distance_lattice_translation_invariant():
+    """gamma * target is in the same coset as target for every lattice point
+    gamma, however far away, so the quotient distance must not change."""
+    rng = np.random.default_rng(70)
+    for i in range(200):
+        n, corank = 1 + i % 2, (i // 2) % 2
+        c = _canonical_metric(rng, n, corank, spread=4.0)
+        spec = _random_lattice(rng, n)
+        r = np.asarray(spec.r, dtype=np.float64)
+        target = GroupElement(
+            rng.uniform(-3.0, 3.0, n) * r, rng.uniform(-3.0, 3.0, n), rng.uniform(-2.0, 2.0)
+        )
+        gx = r * rng.integers(-5, 6, n)
+        gy = rng.integers(-5, 6, n).astype(np.float64)
+        gamma = GroupElement(gx, gy, 0.5 * float(gx @ gy) + int(rng.integers(-1000, 1001)))
+        want = quotient_distance(c, spec, target)
+        got = quotient_distance(c, spec, group_mul(gamma, target))
+        assert abs(got - want) <= 1e-10 * (1.0 + want)
+        assert want <= distance(c, target)[0] * (1.0 + 1e-12)
+
+
+def test_quotient_box_guard(monkeypatch):
+    # a real box of about 10^6 cells is refused before anything is built:
+    # rho = 1000 makes height cheap, so the seed reaches z up to ~7e5
+    c = diag_canonical(1e-3, 1e-3, 1e3)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        quotient_distance(c, LatticeSpec((1,)), GroupElement([0.5], [0.5], 0.0))
+    monkeypatch.setattr(geodesics, "QUOTIENT_BOX_LIMIT", 1)
+    with pytest.raises(ValueError, match="exceeds the limit of 1"):
+        quotient_distance(diag_canonical(1, 1, 1), LatticeSpec((1,)), GroupElement([0.5], [0.0], 0.0))
