@@ -9,13 +9,16 @@ the rationals, e.g. "1", "k", "1/k", "k**2/2").
 All outputs are JSON on stdout with sorted keys and shortest round-trip float
 rendering, so identical invocations are byte-identical; errors are JSON on
 stderr with exit code 1 (validation, including a quotient search box over its
-size limit) or 2 (a distance that fails its endpoint check).  --csv switches
-tabular sequence reports to CSV.  Distances come from an exact
-one-dimensional solve with no random or tunable parts.
+size limit, or a lattice reduction that does not terminate) or 2 (a distance
+that fails its endpoint check).  --csv switches tabular sequence reports to
+CSV.  Distances come from an exact one-dimensional solve with no random or
+tunable parts.
 """
 
 import argparse
+import ast
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -91,17 +94,73 @@ def parse_metric_file(path):
 
 
 _ENTRY_CHARS = set("0123456789k+-*/(). ")
+# a power whose result would need more bits than this is refused before it
+# is computed, so "k**k**k" fails at once instead of exhausting memory
+_POW_BITS = 4096
+
+
+def _power(base, exp):
+    if exp.denominator != 1:
+        raise ValueError(f"non-integer exponent {exp}")
+    size = max(base.numerator.bit_length(), base.denominator.bit_length())
+    if abs(exp.numerator) * size > _POW_BITS:
+        raise ValueError(f"power with exponent {exp} exceeds {_POW_BITS} bits")
+    return base**exp.numerator
+
+
+_ENTRY_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: _power,
+}
+
+
+def _entry_term(node, expr):
+    """Compile one AST node of a family entry into a function of k."""
+    if isinstance(node, ast.Name) and node.id == "k":
+        return lambda k: k
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = Fraction(ast.get_source_segment(expr, node))  # "0.1" is 1/10
+        return lambda k: value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        f = _entry_term(node.operand, expr)
+        return f if isinstance(node.op, ast.UAdd) else lambda k: -f(k)
+    if isinstance(node, ast.BinOp) and type(node.op) in _ENTRY_OPS:
+        op = _ENTRY_OPS[type(node.op)]
+        f, g = _entry_term(node.left, expr), _entry_term(node.right, expr)
+        return lambda k: op(f(k), g(k))
+    raise ValueError(f"unsupported family entry {expr!r}")
+
+
+def _family_entry(expr: str):
+    """Parse a family entry once; returns k -> its value as a float.
+
+    The entry is a rational expression in k: + - * /, unary + and -,
+    numeric literals (taken as exact decimals) and integer powers whose
+    result stays under _POW_BITS bits.  Anything else, and any value that
+    divides by zero or does not fit a float, raises ValueError.
+    """
+    if len(expr) > 100 or not set(expr) <= _ENTRY_CHARS:
+        raise ValueError(f"unsupported family entry {expr!r}")
+    try:
+        term = _entry_term(ast.parse(expr, mode="eval").body, expr)
+    except SyntaxError as e:
+        raise ValueError(f"cannot parse family entry {expr!r}: {e}") from e
+
+    def value(k):
+        try:
+            return float(term(Fraction(k)))
+        except (ZeroDivisionError, OverflowError) as e:
+            raise ValueError(f"cannot evaluate family entry {expr!r} at k={k}: {e}") from e
+
+    return value
 
 
 def eval_family_entry(expr: str, k: int) -> float:
     """Evaluate a rational expression in k exactly over the rationals."""
-    if len(expr) > 100 or not set(expr) <= _ENTRY_CHARS:
-        raise ValueError(f"unsupported family entry {expr!r}")
-    try:
-        val = eval(compile(expr, "<family-entry>", "eval"), {"__builtins__": {}}, {"k": Fraction(k)})
-    except Exception as e:
-        raise ValueError(f"cannot evaluate family entry {expr!r}: {e}") from e
-    return float(val)
+    return _family_entry(expr)(k)
 
 
 def parse_sequence_input(doc) -> SequenceSpec:
@@ -115,7 +174,8 @@ def parse_sequence_input(doc) -> SequenceSpec:
             raise ValueError("diagonal-parametric family needs 2n+1 entries")
         k_lo, k_hi = (int(v) for v in fam["k_range"])
         ks = list(range(k_lo, k_hi + 1))
-        matrices = [np.diag([eval_family_entry(e, k) for e in entries]) for k in ks]
+        terms = [_family_entry(e) for e in entries]
+        matrices = [np.diag([f(k) for f in terms]) for k in ks]
     elif kind == "explicit":
         matrices = [np.asarray(mm, dtype=np.float64) for mm in fam["matrices"]]
         ks = [int(v) for v in fam.get("ks", range(1, len(matrices) + 1))]
@@ -406,7 +466,9 @@ def main(argv=None) -> int:
     except SolverFailure as e:
         sys.stderr.write(canonical_json(_error_payload(e)))
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    # SolverFailure is a RuntimeError and is caught above; what is left
+    # here is LLL non-termination
+    except (ValueError, KeyError, OSError, RuntimeError, json.JSONDecodeError) as e:
         sys.stderr.write(canonical_json(_error_payload(e)))
         return 1
 

@@ -31,6 +31,7 @@ root gives the minimizer, of length sqrt(sum_i a_i/s(theta_i)^2 + rho^2 p_z^2).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,19 +188,33 @@ def geodesic_velocity(c: MetricLike, p: Momentum, t: float):
     return wdot, float(dz)
 
 
+def _count(name, value):
+    """`value` as an int >= 1.  Raises ValueError for anything else,
+    non-integral numbers such as 2.5 included."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
+
+
 def _rk4_one(c, p, t, steps, samples=1):
     """The RK4 kernel on a single trajectory: (u, z, h at the checkpoints)."""
     u, z, h_at = _kernels.rk4_flow(
-        p.horizontal()[None], [p.p_z], [c.rho], c.d[None], [float(t)], int(steps), int(samples)
+        p.horizontal()[None], [p.p_z], [c.rho], c.d[None], [float(t)], steps, samples
     )
     return u[0], float(z[0]), h_at[0]
 
 
 def flow_numeric(c: MetricLike, p: Momentum, t: float, steps: int) -> GroupElement:
     """Fixed-step RK4 integration of the Hamiltonian system; converges to
-    geodesic_point at fourth order in the step size."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    geodesic_point at fourth order in the step size.
+
+    Raises ValueError unless steps is an integer >= 1.
+    """
+    steps = _count("steps", steps)
     c = canonicalize(c)
     u, z, _ = _rk4_one(c, p, t, steps)
     w = c.atilde @ u
@@ -213,12 +228,10 @@ def hamiltonian_along_flow(c: MetricLike, p: Momentum, t: float, steps: int, sam
     diagnostic).  Checkpoint j sits after max(1, round(steps * j / samples))
     steps; the last one is the end of the interval.
 
-    Raises ValueError when steps < 1 or samples < 1.
+    Raises ValueError unless steps and samples are integers >= 1.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    steps = _count("steps", steps)
+    samples = _count("samples", samples)
     c = canonicalize(c)
     _, _, h_at = _rk4_one(c, p, t, steps, samples)
     h = np.concatenate([p.horizontal()[None], h_at])

@@ -169,6 +169,9 @@ def shortest_lattice_vector(gram):
     minimizing sqrt(v^T gram v).  Ties (within 1e-12 relative) resolve to the
     lexicographically smallest coefficient vector, which makes the output
     deterministic even though -v is always a co-minimizer.
+
+    Raises ValueError unless gram is square, symmetric and positive definite,
+    and RuntimeError if the LLL reduction does not terminate.
     """
     G = np.asarray(gram, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:

@@ -112,12 +112,24 @@ def koszul_ricci(A):
     return Ric
 
 
-def brute_force_shortest(G, box=25):
-    """Exhaustive minimum of sqrt(v^T G v) over 0 != v with |v|_inf <= box."""
-    m = G.shape[0]
-    rest = np.array(list(itertools.product(range(-box, box + 1), repeat=m - 1)), dtype=np.float64)
+def brute_force_shortest(G, ub=np.inf):
+    """Exhaustive minimum of sqrt(v^T G v) over integer v != 0.
+
+    Any v with v^T G v <= r^2 has |v_i| <= r sqrt((G^-1)_ii) (Cauchy-Schwarz
+    in the G inner product).  The minimum is at most sqrt(min diag G), so the
+    box for r = min(sqrt(min diag G), ub) holds every minimizer whenever the
+    minimum is at most ub; pass the norm under test as ub.  If that norm is
+    below the true minimum, the box may miss it, and the returned value (or
+    the empty-box failure) disagrees with the norm under test.
+    """
+    r = min(float(np.sqrt(np.min(np.diag(G)))), ub) * (1.0 + 1e-9)
+    reach = np.floor(r * np.sqrt(np.diag(np.linalg.inv(G)))).astype(np.int64)
+    assert np.any(reach > 0), "empty brute-force box"
+    rest = np.array(
+        list(itertools.product(*(range(-k, k + 1) for k in reach[1:]))), dtype=np.float64
+    )
     best = np.inf
-    for a in range(-box, box + 1):
+    for a in range(-reach[0], reach[0] + 1):
         V = np.concatenate([np.full((rest.shape[0], 1), float(a)), rest], axis=1)
         norms = np.einsum("ij,jk,ik->i", V, G, V)
         if a == 0:

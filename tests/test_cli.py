@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import heisgeo.cli as cli
-from heisgeo import geodesics
+from heisgeo import geodesics, linalg
 from heisgeo.errors import SolverFailure
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -49,6 +50,12 @@ def test_family_entry_evaluation():
         cli.eval_family_entry("k" * 200, 1)
     with pytest.raises(ValueError):
         cli.eval_family_entry("1/(k-1)", 1)  # division by zero surfaces as ValueError
+    assert cli.eval_family_entry("-k + +2", 5) == -3.0
+    assert cli.eval_family_entry("0.1*k", 3) == 0.3  # decimal literals are exact
+    assert cli.eval_family_entry("2**-2", 1) == 0.25
+    for bad in ("k**k**k", "2**4097", "k**(1/2)", "k//2", "k(1)", "...", "2**1100"):
+        with pytest.raises(ValueError):
+            cli.eval_family_entry(bad, 50)
 
 
 # ---------------------------------------------------------------------------
@@ -340,3 +347,25 @@ def test_solver_failure_exit_code(capsys, monkeypatch):
     doc = json.loads(err)
     assert doc["error"]["type"] == "SolverFailure"
     assert doc["error"]["best_residual"] == 0.25
+
+
+def test_lll_failure_exit_code(capsys, monkeypatch):
+    # LLL that gives up at once: its RuntimeError is JSON on stderr, exit 1
+    monkeypatch.setattr(linalg, "_lll_reduce", functools.partial(linalg._lll_reduce, max_iter=0))
+    code, out, err = run_cli(
+        capsys,
+        "check",
+        "--input",
+        str(FIXTURES / "identity-h1.json"),
+        "--D",
+        "1",
+        "--V",
+        "0.5",
+        "--K",
+        "1",
+        "--mode",
+        "riemannian",
+    )
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == {"type": "RuntimeError", "message": "LLL failed to terminate"}

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -197,11 +198,84 @@ def test_hamiltonian_checkpoints_match_reintegration():
             assert abs(H[j] - want) <= 1e-14 * H[0]
 
 
-@pytest.mark.parametrize("steps, samples", [(0, 8), (-3, 8), (100, 0), (100, -1)])
+@pytest.mark.parametrize(
+    "steps, samples",
+    [(0, 8), (-3, 8), (100, 0), (100, -1), (2.5, 8), (100.0, 8), (100, 2.5), ("100", 8)],
+)
 def test_hamiltonian_along_flow_rejects_bad_counts(steps, samples):
     c = diag_canonical(1, 1, 1)
     with pytest.raises(ValueError):
         hamiltonian_along_flow(c, Momentum([1.0], [0.0], 0.5), 1.0, steps, samples=samples)
+
+
+@pytest.mark.parametrize("steps", [0, -3, 2.5, 100.0, "100", None])
+def test_flow_numeric_rejects_bad_steps(steps):
+    c = diag_canonical(1, 1, 1)
+    with pytest.raises(ValueError):
+        flow_numeric(c, Momentum([1.0], [0.0], 0.5), 1.0, steps)
+
+
+def test_flow_accepts_numpy_integer_counts():
+    c = diag_canonical(1, 1, 1)
+    p = Momentum([1.0], [0.0], 0.5)
+    want = flow_numeric(c, p, 1.0, 50).coords()
+    assert np.array_equal(flow_numeric(c, p, 1.0, np.int64(50)).coords(), want)
+    H = hamiltonian_along_flow(c, p, 1.0, np.int32(50), samples=np.int64(4))
+    assert np.array_equal(H, hamiltonian_along_flow(c, p, 1.0, 50, samples=4))
+
+
+CHUNK = _kernels.RK4_CHUNK
+
+
+@pytest.mark.parametrize(
+    "n, steps, samples, case",
+    [
+        (1, 1, 3, "generic"),  # one step, more samples than steps
+        (2, 10, 25, "generic"),  # more samples than steps
+        (3, CHUNK - 1, 2, "generic"),
+        (1, CHUNK, 1, "generic"),
+        (2, CHUNK + 1, 4, "generic"),
+        (3, 3 * CHUNK + 7, 3, "generic"),  # several chunks
+        (2, 300, 5, "pz = 0"),
+        (3, 300, 5, "rho = 0"),
+    ],
+)
+def test_rk4_matches_textbook(n, steps, samples, case):
+    """u and every checkpoint momentum equal the textbook scalar RK4 bit for
+    bit, z to 1e-15, across chunk boundaries.  The step is a power of two,
+    so the textbook run to each checkpoint uses exactly the same step."""
+    rng = np.random.default_rng(1000 * n + steps)
+    p_h = rng.normal(size=2 * n)
+    pz = 0.0 if case == "pz = 0" else float(rng.normal())
+    rho = 0.0 if case == "rho = 0" else float(rng.uniform(0.1, 2.0))
+    d = np.sort(rng.uniform(0.1, 3.0, size=n))
+    dt = 2.0**-9
+    u, z, h_at = _kernels.rk4_flow(p_h[None], [pz], [rho], d[None], [steps * dt], steps, samples)
+    marks = [max(1, round(steps * j / samples)) for j in range(1, samples + 1)]
+    for j, k in enumerate(marks):
+        u0, z0, h0 = _textbook_rk4(p_h, pz, rho, d, k * dt, k)
+        assert np.array_equal(h0, h_at[0, j])
+    assert marks[-1] == steps
+    assert np.array_equal(u0, u[0])
+    assert abs(z0 - z[0]) <= 1e-15 * (1.0 + abs(z0))
+
+
+def test_rk4_memory_does_not_grow_with_steps():
+    """One row holds a chunk of steps at a time: the peak traced memory is
+    the same at 2 and at 16 chunks, and below 1 MiB.  Keeping every step
+    would take over 3 MiB at 16 chunks."""
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            _kernels.rk4_flow([[0.6, 0.8]], [0.7], [1.0], [[1.5]], [2.0], steps, 4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2 * CHUNK), peak(16 * CHUNK)
+    assert large <= small + 4096
+    assert large < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def test_shortest_vector_vs_brute_force():
     for _ in range(10):
         G = _random_pd_gram(rng, 4)
         coeffs, norm = shortest_lattice_vector(G)
-        assert norm == pytest.approx(brute_force_shortest(G, box=25), rel=1e-10)
+        assert norm == pytest.approx(brute_force_shortest(G, norm), rel=1e-10)
         assert norm == pytest.approx(np.sqrt(coeffs @ G @ coeffs), rel=1e-12)
 
 

@@ -191,7 +191,7 @@ def test_a1_value_matches_brute_force():
             from heisgeo.linalg import shortest_lattice_vector
 
             _, got = shortest_lattice_vector(gram)
-            want = brute_force_shortest(gram, box=25)
+            want = brute_force_shortest(gram, got)
             assert got == pytest.approx(want, rel=1e-9)
 
 
