@@ -10,6 +10,7 @@ for a 2-step group:
 All values are immutable and all operations are pure functions.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,14 +31,22 @@ __all__ = [
 ]
 
 
-def _clean_coords(x, y, z):
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.float64))
+def _clean_coords(
+    x,
+    y,
+    z,
+    shape_msg="x and y must be length-n sequences of equal length",
+    finite_msg="coordinates must be finite",
+):
+    """Read-only float64 copies of x and y and a float z; a copy, so the
+    value neither aliases nor freezes the caller's arrays."""
+    x = np.array(x, dtype=np.float64, ndmin=1)
+    y = np.array(y, dtype=np.float64, ndmin=1)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-        raise ValueError("x and y must be length-n sequences of equal length")
+        raise ValueError(shape_msg)
     z = float(z)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.isfinite(z)):
-        raise ValueError("coordinates must be finite")
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and math.isfinite(z)):
+        raise ValueError(finite_msg)
     x.flags.writeable = False
     y.flags.writeable = False
     return x, y, z

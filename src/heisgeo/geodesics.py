@@ -1,6 +1,7 @@
 """Normal geodesics of (H_n, A): closed-form exponential map, RK4 flow as a
 numerical oracle, cut time, vertical distance in closed form, and exact
-distances on H_n (one bracketed root in p_z) and on quotients by a lattice.
+distances on H_n (one bracketed root in p_z, found by safeguarded Newton) and
+on quotients by a lattice.
 
 Conventions.  A geodesic from the identity is determined by the frame momenta
 (p_x, p_y) = (h_{x_i}(0), h_{y_i}(0)) along the orthonormal horizontal frame
@@ -28,6 +29,11 @@ with a_i = |u_i|^2 and q(theta) = (theta - sin theta)/theta^2.  It increases
 strictly on (-2 pi/d_n, 2 pi/d_n) (Gaveau 1977; Agrachev-Barilari-Boscain,
 "A Comprehensive Introduction to Sub-Riemannian Geometry"), so one bracketed
 root gives the minimizer, of length sqrt(sum_i a_i/s(theta_i)^2 + rho^2 p_z^2).
+Its slope is known in closed form (see _height), so a safeguarded Newton
+iteration finds the root in about ten evaluations.  For a single momentum
+the closed form runs per block on Python floats and complex numbers: with
+block i read as u_i = u_x_i + i u_y_i and p_i = p_x_i + i p_y_i, it is
+u_i(t) = t s(theta_i) e^{i theta_i/2} p_i.
 """
 
 import math
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import GroupElement, LatticeSpec
+from .core import GroupElement, LatticeSpec, _clean_coords
 from .errors import SolverFailure
 from .metric import CanonicalMetric, MetricLike, canonicalize
 
@@ -64,15 +70,13 @@ class Momentum:
     p_z: float
 
     def __post_init__(self):
-        px = np.atleast_1d(np.asarray(self.p_x, dtype=np.float64))
-        py = np.atleast_1d(np.asarray(self.p_y, dtype=np.float64))
-        if px.shape != py.shape or px.ndim != 1:
-            raise ValueError("p_x and p_y must have equal length")
-        pz = float(self.p_z)
-        if not (np.all(np.isfinite(px)) and np.all(np.isfinite(py)) and np.isfinite(pz)):
-            raise ValueError("momentum entries must be finite")
-        px.flags.writeable = False
-        py.flags.writeable = False
+        px, py, pz = _clean_coords(
+            self.p_x,
+            self.p_y,
+            self.p_z,
+            shape_msg="p_x and p_y must have equal length",
+            finite_msg="momentum entries must be finite",
+        )
         object.__setattr__(self, "p_x", px)
         object.__setattr__(self, "p_y", py)
         object.__setattr__(self, "p_z", pz)
@@ -125,52 +129,38 @@ def _sinc_series(t2):
     )
 
 
-def _one_minus_sinc(theta):
-    """1 - sin(theta)/theta, elementwise, without cancellation near 0."""
-    theta = np.asarray(theta, dtype=np.float64)
-    t2 = theta * theta
-    series = t2 / 6.0 * _sinc_series(t2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = 1.0 - np.sin(theta) / theta
-    return np.where(np.abs(theta) < 1.0, series, direct)
+def _endpoint_frame(d, rho, p, pz, t):
+    """Closed-form endpoint at time t in frame coordinates, for one momentum.
 
-
-def _endpoint_frame(d, rho, ph, pz, t):
-    """Closed-form endpoint in frame coordinates, vectorized over momenta.
-
-    ph: (..., 2n), pz: (...,).  Returns u: (..., 2n), z: (...,).
+    d: the d_i as floats; p: p_x_i + i p_y_i per block, as Python complex.
+    With theta_i = p_z d_i t, block i of the endpoint is
+    u_i = t s(theta_i) e^{i theta_i/2} p_i, and the height is
+    z = rho^2 p_z t + (t^2 / 2) sum_i d_i q(theta_i) |p_i|^2 (module
+    docstring).  Returns (u as a list of complex, z).
     """
-    d = np.asarray(d, dtype=np.float64)
-    ph = np.asarray(ph, dtype=np.float64)
-    pz = np.asarray(pz, dtype=np.float64)
-    n = d.shape[0]
-    px = ph[..., :n]
-    py = ph[..., n:]
-    theta = pz[..., None] * d * t
-    half = 0.5 * theta
-    sinc_half = np.sinc(half / np.pi)
-    a = t * np.sinc(theta / np.pi)  # sin(theta)/xi
-    b = t * np.sin(half) * sinc_half  # (1 - cos(theta))/xi
-    ux = a * px - b * py
-    uy = b * px + a * py
-    oms = _one_minus_sinc(theta)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        zc = t * oms / (2.0 * pz[..., None])
-    straight = pz[..., None] == 0.0
-    ux = np.where(straight, t * px, ux)
-    uy = np.where(straight, t * py, uy)
-    zc = np.where(straight, 0.0, zc)
-    z = rho * rho * pz * t + np.sum(zc * (px * px + py * py), axis=-1)
-    return np.concatenate([ux, uy], axis=-1), z
+    u = []
+    z = 0.0
+    for di, pi in zip(d, p):
+        theta = pz * di * t
+        half = 0.5 * theta
+        if abs(theta) < 1.0:  # q(theta) by its series
+            q = theta / 6.0 * _sinc_series(theta * theta)
+        else:
+            q = (theta - math.sin(theta)) / (theta * theta)
+        s = math.sin(half) / half if half else 1.0
+        u.append(t * s * complex(math.cos(half), math.sin(half)) * pi)
+        z += di * q * (pi.real * pi.real + pi.imag * pi.imag)
+    return u, rho * rho * pz * t + 0.5 * t * t * z
 
 
 def geodesic_point(c: MetricLike, p: Momentum, t: float) -> GroupElement:
     """Point at time t of the normal geodesic from the identity."""
     c = canonicalize(c)
-    u, z = _endpoint_frame(c.d, c.rho, p.horizontal(), np.float64(p.p_z), t)
-    w = c.atilde @ u
     n = c.n
-    return GroupElement(w[:n], w[n:], float(z))
+    mom = [complex(x, y) for x, y in zip(p.p_x.tolist(), p.p_y.tolist())]
+    u, z = _endpoint_frame(c.d.tolist(), float(c.rho), mom, p.p_z, float(t))
+    w = c.atilde @ np.array([v.real for v in u] + [v.imag for v in u])
+    return GroupElement(w[:n], w[n:], z)
 
 
 def geodesic_velocity(c: MetricLike, p: Momentum, t: float):
@@ -283,58 +273,93 @@ _TOP_BLOCK_REL = 1e-12
 _TOP_PART_REL = 1e-10
 # Scaled endpoint residual a returned minimizer must meet.
 _RESIDUAL_TOL = 1e-9
+# _solve_pz stops once the Newton step is at most this relative amount
+# (4 ulps): below it the height's rounding, not the iterate, sets the error.
+_PZ_ULPS = 4.0 * 2.0**-52
+# distance dilates small targets only as far as keeps rho below 2^this.
+_RHO_EXP_MAX = 400
 # Most candidate cells quotient_distance searches.
 QUOTIENT_BOX_LIMIT = 500_000
 
 
 def _height(d, rho, a, pz):
-    """z(p_z) of the module docstring for block energies a: the height at time
-    1 of the geodesic with vertical momentum pz through frame point u."""
+    """z(p_z) of the module docstring for block energies a, with its slope:
+    (height, dz/dp_z) at time 1 of the geodesic with vertical momentum pz
+    through frame point u.
+
+    Block i adds a_i d_i f(theta_i), theta_i = p_z d_i, with
+    f = (theta - sin theta) / (8 sin^2(theta/2)) = q / (2 s^2) and
+    f' = 1/4 - cos(theta/2) (theta - sin theta) / (8 sin^3(theta/2))
+       = 1/4 - cos(theta/2) (q/theta) / s^3,  f'(0) = 1/12.
+    """
     z = rho * rho * pz
+    slope = rho * rho
     for di, ai in zip(d, a):
         if ai:
             theta = pz * di
             half = 0.5 * theta
-            if abs(theta) < 1.0:  # q(theta) by its series
-                q = theta / 6.0 * _sinc_series(theta * theta)
+            if abs(theta) < 1.0:  # q(theta) and q/theta by their series
+                series = _sinc_series(theta * theta)
+                q = theta / 6.0 * series
+                q_theta = series / 6.0
             else:
                 q = (theta - math.sin(theta)) / (theta * theta)
+                q_theta = q / theta
             s = math.sin(half) / half if half else 1.0
             z += ai * di * q / (2.0 * s * s)
-    return z
+            slope += ai * di * di * (0.25 - math.cos(half) * q_theta / (s * s * s))
+    return z, slope
 
 
 def _solve_pz(d, rho, a, z, pz_cut):
-    """The root of _height(p_z) = z on (-pz_cut, pz_cut), by bisection down to
-    adjacent floats."""
+    """The root of _height(p_z) = z on (-pz_cut, pz_cut).
+
+    Safeguarded Newton (rtsafe, Numerical Recipes 9.4) from p_z = 0 with the
+    analytic slope, keeping a bracket: a Newton step that leaves the bracket,
+    or is not at most half the step before last, becomes a bisection step.
+    It stops when the Newton step is at most a few ulps of p_z, or when the
+    bracket closes to adjacent floats.
+    """
     lo, hi = -pz_cut, pz_cut
-    for _ in range(200):  # a root near 0 would take ~1000 halvings to denormals
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        zm = _height(d, rho, a, mid)
-        if zm == z:
-            return mid
-        if zm < z:
-            lo = mid
+    pz = 0.0
+    step = step_old = hi - lo
+    for _ in range(200):
+        height, slope = _height(d, rho, a, pz)
+        f = height - z
+        if f == 0.0:
+            return pz
+        if f < 0.0:
+            lo = pz
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = pz
+        newton = pz - f / slope
+        if abs(newton - pz) <= _PZ_ULPS * abs(pz):
+            return newton
+        if lo < newton < hi and abs(2.0 * f) <= abs(step_old * slope):
+            step_old, step = step, newton - pz
+            pz = newton
+        else:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                return mid
+            step_old, step = step, mid - pz
+            pz = mid
+    return pz
 
 
-def _unit_and_residual(c, u, z, ph, pz):
-    """(length, unit momentum, scaled residual) of the momentum (ph, pz) that
-    is meant to reach frame point (u, z) at time 1; the residual is taken on
-    the closed-form endpoint of the unit momentum at time `length`."""
-    n = c.n
-    length = math.sqrt(float(ph @ ph) + (c.rho * pz) ** 2)
-    ph, pz = ph / length, pz / length
-    u_end, z_end = _endpoint_frame(c.d, c.rho, ph, np.float64(pz), length)
-    residual = max(
-        float(np.max(np.abs(u_end - u))) / (1.0 + float(np.linalg.norm(u))),
-        abs(float(z_end) - z) / (1.0 + abs(z)),
-    )
-    return length, Momentum(ph[:n], ph[n:], pz), residual
+def _unit_and_residual(d, rho, u, z, p, pz):
+    """(length, unit frame momenta, unit p_z, scaled residual) of the momentum
+    (p, pz) that is meant to reach frame point (u, z) at time 1; the residual
+    is taken on the closed-form endpoint of the unit momentum at time
+    `length`.  u and p hold one complex number per block."""
+    length = math.hypot(*[v.real for v in p], *[v.imag for v in p], rho * pz)
+    p = [v / length for v in p]
+    pz /= length
+    u_end, z_end = _endpoint_frame(d, rho, p, pz, length)
+    u_norm = math.hypot(*[v.real for v in u], *[v.imag for v in u])
+    miss = max(max(abs(e.real - v.real), abs(e.imag - v.imag)) for e, v in zip(u_end, u))
+    residual = max(miss / (1.0 + u_norm), abs(z_end - z) / (1.0 + abs(z)))
+    return length, p, pz, residual
 
 
 def distance(c: MetricLike, target: GroupElement):
@@ -342,12 +367,12 @@ def distance(c: MetricLike, target: GroupElement):
 
     With u = Atilde^-1 w the target's frame coordinates and z its height, the
     minimizer's p_z is the root of z(p_z) = z on (-2 pi/d_n, 2 pi/d_n) (see
-    the module docstring), found by bisection; p_z then fixes the frame
-    momenta p_i = Rot(-theta_i/2) u_i / s(theta_i).  When u has no part in the
-    top d-block and |z| is at or past the limit height z(+-2 pi/d_n) of the
-    other blocks, the minimizer sits at the cut time instead: p_z = +-2 pi/d_n
-    and the top block, which closes there, carries |p_top|^2 =
-    2 p_z (z - z_limit).
+    the module docstring), found by safeguarded Newton with the analytic
+    slope; p_z then fixes the frame momenta p_i = Rot(-theta_i/2) u_i /
+    s(theta_i).  When u has no part in the top d-block and |z| is at or past
+    the limit height z(+-2 pi/d_n) of the other blocks, the minimizer sits at
+    the cut time instead: p_z = +-2 pi/d_n and the top block, which closes
+    there, carries |p_top|^2 = 2 p_z (z - z_limit).
 
     Every answer is verified: the closed-form endpoint of the unit momentum at
     time `distance` must reach the target to a scaled residual of 1e-9 (the
@@ -360,46 +385,60 @@ def distance(c: MetricLike, target: GroupElement):
     """
     c = canonicalize(c)
     n = c.n
-    u = np.linalg.solve(c.atilde, np.concatenate([target.x, target.y]))
-    z = float(target.z)
-    a = [float(v) for v in u[:n] ** 2 + u[n:] ** 2]
-    if not any(a) and z == 0.0:
+    uv = np.linalg.solve(c.atilde, np.concatenate([target.x, target.y])).tolist()
+    z = target.z
+    if not any(uv) and z == 0.0:
         return 0.0, Momentum(np.zeros(n), np.zeros(n), 0.0)
-    d = [float(v) for v in c.d]
+    d = c.d.tolist()
     rho = float(c.rho)
+    # Dilate a target smaller than 1/2 by (u, z) -> (2^k u, 4^k z), exact in
+    # floats, to about unit size, so that neither |u_i|^2 underflows nor the
+    # top-block cut-off below outweighs u.  With rho -> 2^k rho (kept below
+    # 2^_RHO_EXP_MAX, so rho^2 stays finite) the minimizer keeps its p_z at
+    # time 1 and every length grows by 2^k; the residual check only tightens.
+    k = -math.frexp(max(max(map(abs, uv)), math.sqrt(abs(z))))[1]
+    if rho:
+        k = min(k, _RHO_EXP_MAX - math.frexp(rho)[1])
+    k = max(k, 0)
+    uv = [math.ldexp(v, k) for v in uv]
+    z = math.ldexp(z, 2 * k)
+    rho = math.ldexp(rho, k)
+    u = [complex(x, y) for x, y in zip(uv[:n], uv[n:])]
+    a = [v.real * v.real + v.imag * v.imag for v in u]
     pz_cut = 2.0 * math.pi / d[-1]
-    top = np.asarray(c.d) >= d[-1] * (1.0 - _TOP_BLOCK_REL)
+    top = [di >= d[-1] * (1.0 - _TOP_BLOCK_REL) for di in d]
     rest = [0.0 if t else ai for ai, t in zip(a, top)]
     a_top = [ai - ri for ai, ri in zip(a, rest)]
 
     at_cut = False
     if sum(a_top) <= (_TOP_PART_REL * (1.0 + math.sqrt(sum(a)))) ** 2:
         pz = math.copysign(pz_cut, z)
-        z_limit = _height(d, rho, rest, pz)
+        z_limit = _height(d, rho, rest, pz)[0]
         at_cut = abs(z) >= abs(z_limit)
     if not at_cut:
         pz = _solve_pz(d, rho, a, z, pz_cut)
 
-    theta = pz * c.d
-    cos_h, sin_h = np.cos(0.5 * theta), np.sin(0.5 * theta)
-    ux, uy = u[:n], u[n:]
-    ph = np.concatenate([cos_h * ux + sin_h * uy, cos_h * uy - sin_h * ux])
-    ph /= np.tile(np.sinc(theta / (2.0 * np.pi)), 2)  # s(theta)
+    p = []
+    for di, ui in zip(d, u):
+        half = 0.5 * pz * di
+        s = math.sin(half) / half if half else 1.0
+        p.append(ui * complex(math.cos(half), -math.sin(half)) / s)
     if at_cut:
-        ph[np.tile(top, 2)] = 0.0
-        ph[n - 1] = math.sqrt(2.0 * pz * (z - z_limit))
-    best = _unit_and_residual(c, u, z, ph, pz)
-    if best[2] > 1e-3 * _RESIDUAL_TOL and not at_cut and any(a_top):
-        grow = (z - _height(d, rho, rest, pz)) / _height(d, 0.0, a_top, pz)
-        ph[np.tile(top, 2)] *= math.sqrt(max(grow, 0.0))
-        best = min(best, _unit_and_residual(c, u, z, ph, pz), key=lambda r: r[2])
-    length, p, residual = best
+        p = [0j if t else pi for pi, t in zip(p, top)]
+        p[-1] = complex(math.sqrt(2.0 * pz * (z - z_limit)), 0.0)
+    best = _unit_and_residual(d, rho, u, z, p, pz)
+    if best[3] > 1e-3 * _RESIDUAL_TOL and not at_cut and any(a_top):
+        grow = (z - _height(d, rho, rest, pz)[0]) / _height(d, 0.0, a_top, pz)[0]
+        g = math.sqrt(max(grow, 0.0))
+        p = [pi * g if t else pi for pi, t in zip(p, top)]
+        best = min(best, _unit_and_residual(d, rho, u, z, p, pz), key=lambda r: r[3])
+    length, p, pz, residual = best
     if not residual <= _RESIDUAL_TOL:
         raise SolverFailure(
             f"minimizer misses the target (scaled residual {residual:.3e})",
             best_residual=residual,
         )
-    return length, p
+    return math.ldexp(length, -k), Momentum([v.real for v in p], [v.imag for v in p], math.ldexp(pz, k))
 
 
 def _reduce_to_domain(x, y, z, r):

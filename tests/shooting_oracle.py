@@ -16,8 +16,51 @@ import numpy as np
 import scipy.optimize
 
 from heisgeo.errors import SolverFailure
-from heisgeo.geodesics import Momentum, _endpoint_frame
+from heisgeo.geodesics import Momentum
 from heisgeo.metric import canonicalize
+
+
+def _one_minus_sinc(theta):
+    """1 - sin(theta)/theta, elementwise; by its alternating series through
+    theta^14 on |theta| < 1, where the direct formula would lose ~8 digits."""
+    theta = np.asarray(theta, dtype=np.float64)
+    t2 = theta * theta
+    series = 1.0 - t2 / 20.0 * (
+        1.0 - t2 / 42.0 * (1.0 - t2 / 72.0 * (1.0 - t2 / 110.0 * (1.0 - t2 / 156.0 * (1.0 - t2 / 210.0))))
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        direct = 1.0 - np.sin(theta) / theta
+    return np.where(np.abs(theta) < 1.0, t2 / 6.0 * series, direct)
+
+
+def endpoint_frame(d, rho, ph, pz, t):
+    """Closed-form endpoint in frame coordinates, vectorized over momenta:
+    the oracle's own numpy copy of the library's per-block endpoint.
+
+    ph: (..., 2n), pz: (...,).  Returns u: (..., 2n), z: (...,).
+    """
+    d = np.asarray(d, dtype=np.float64)
+    ph = np.asarray(ph, dtype=np.float64)
+    pz = np.asarray(pz, dtype=np.float64)
+    n = d.shape[0]
+    px = ph[..., :n]
+    py = ph[..., n:]
+    theta = pz[..., None] * d * t
+    half = 0.5 * theta
+    sinc_half = np.sinc(half / np.pi)
+    a = t * np.sinc(theta / np.pi)  # sin(theta)/xi
+    b = t * np.sin(half) * sinc_half  # (1 - cos(theta))/xi
+    ux = a * px - b * py
+    uy = b * px + a * py
+    oms = _one_minus_sinc(theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        zc = t * oms / (2.0 * pz[..., None])
+    straight = pz[..., None] == 0.0
+    ux = np.where(straight, t * px, ux)
+    uy = np.where(straight, t * py, uy)
+    zc = np.where(straight, 0.0, zc)
+    z = rho * rho * pz * t + np.sum(zc * (px * px + py * py), axis=-1)
+    return np.concatenate([ux, uy], axis=-1), z
 
 
 @dataclass
@@ -99,12 +142,12 @@ def shooting_distance(c, target, opts: Optional[SolverOptions] = None):
     dn = float(d[-1])
 
     ph_all, pz_all = _shooting_grid(c, u_t, z_t, opts)
-    u_end, z_end = _endpoint_frame(d, rho, ph_all, pz_all, 1.0)
+    u_end, z_end = endpoint_frame(d, rho, ph_all, pz_all, 1.0)
     res = np.sum(((u_end - u_t) / su) ** 2, axis=1) + ((z_end - z_t) / sz) ** 2
     order = np.argsort(res)
 
     def fun(q):
-        u, z = _endpoint_frame(d, rho, q[:-1], np.float64(q[-1]), 1.0)
+        u, z = endpoint_frame(d, rho, q[:-1], np.float64(q[-1]), 1.0)
         out = np.empty(2 * n + 1)
         out[: 2 * n] = (u - u_t) / su
         out[-1] = (z - z_t) / sz

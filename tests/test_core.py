@@ -8,6 +8,7 @@ from heisgeo import (
     GroupElement,
     InvalidLatticeError,
     LatticeSpec,
+    Momentum,
     bracket,
     commutator,
     group_mul,
@@ -155,3 +156,43 @@ def test_constructor_rejects_nonfinite():
         GroupElement([np.nan], [0.0], 0.0)
     with pytest.raises(ValueError):
         AlgebraVector([0.0], [np.inf], 0.0)
+
+
+def _pair(v):
+    return (v.p_x, v.p_y) if isinstance(v, Momentum) else (v.x, v.y)
+
+
+@pytest.mark.parametrize("cls", [AlgebraVector, GroupElement, Momentum])
+def test_constructor_copies_caller_arrays(cls):
+    """A value owns read-only copies: the caller's arrays stay writable, and
+    writing to them, or to the array they are views of, leaves it unchanged."""
+    x, y = np.zeros(2), np.ones(2)
+    v = cls(x, y, 0.0)
+    assert x.flags.writeable and y.flags.writeable
+    x[0] = 5.0
+    y[1] = 7.0
+    assert _pair(v)[0].tolist() == [0.0, 0.0] and _pair(v)[1].tolist() == [1.0, 1.0]
+    w = np.zeros(4)
+    v = cls(w[:2], w[2:], 0.0)
+    assert w.flags.writeable
+    w[0] = 5.0
+    w[3] = 7.0
+    assert _pair(v)[0].tolist() == [0.0, 0.0] and _pair(v)[1].tolist() == [0.0, 0.0]
+    for arr in _pair(v):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "p_x, p_y, p_z, match",
+    [
+        ([np.nan], [0.0], 0.0, "momentum entries must be finite"),
+        ([0.0], [np.inf], 0.0, "momentum entries must be finite"),
+        ([0.0], [0.0], -np.inf, "momentum entries must be finite"),
+        ([0.0, 1.0], [0.0], 0.0, "p_x and p_y must have equal length"),
+        ([[0.0]], [[0.0]], 0.0, "p_x and p_y must have equal length"),
+    ],
+)
+def test_momentum_rejects_bad_entries(p_x, p_y, p_z, match):
+    with pytest.raises(ValueError, match=match):
+        Momentum(p_x, p_y, p_z)

@@ -1,11 +1,14 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from heisgeo import LatticeSpec, SolverFailure, _kernels, geodesics
+from heisgeo import InvalidMetricError, LatticeSpec, SolverFailure, _kernels, geodesics
 from heisgeo.core import GroupElement, group_mul, inverse, symplectic_pairing
 from heisgeo.geodesics import (
     GeodesicArc,
@@ -22,7 +25,7 @@ from heisgeo.geodesics import (
 from heisgeo.metric import MetricMatrix, canonicalize
 
 from conftest import random_corank0, random_corank1
-from shooting_oracle import SolverOptions, shooting_distance
+from shooting_oracle import SolverOptions, endpoint_frame, shooting_distance
 
 
 def diag_canonical(*entries):
@@ -500,8 +503,9 @@ def test_distance_matches_shooting_oracle():
         a = u[:n] ** 2 + u[n:] ** 2
         pz_cut = 2.0 * np.pi / float(c.d[-1])
         grid = np.linspace(-pz_cut, pz_cut, 2001)[1:-1]
-        heights = [geodesics._height(c.d, c.rho, a, pz) for pz in grid]
+        heights, slopes = zip(*(geodesics._height(c.d, c.rho, a, pz) for pz in grid))
         assert np.all(np.diff(heights) > 0.0)
+        assert min(slopes) > 0.0
         try:
             want, _ = shooting_distance(c, target)
         except SolverFailure:
@@ -577,6 +581,122 @@ def test_distance_sweep_never_fails():
         assert mom.speed(c) == pytest.approx(1.0, abs=1e-12)
         worst = max(worst, _scaled_miss(c, mom, got, target))
     assert worst <= 1e-9
+
+
+def _bisect_pz(d, rho, a, z, pz_cut):
+    """Reference root of the height: bisection down to adjacent floats."""
+    lo, hi = -pz_cut, pz_cut
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        height = geodesics._height(d, rho, a, mid)[0]
+        if height == z:
+            return mid
+        if height < z:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _pz_cases(seed, count):
+    """(d, rho, a, z, pz_cut) for seeded roots: n = 1..3, both coranks,
+    d_n / d_1 up to 100, |z| from 1e-4 to 1e3; every other case has a top
+    block part of 1e-12 to 1e-4 of |u| (a root just short of the cut time)."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = 1 + k % 3
+        d = sorted(np.exp(rng.uniform(0.0, np.log(100.0), size=n)) * rng.uniform(0.3, 1.5))
+        rho = 0.0 if (k // 3) % 2 else float(rng.uniform(0.2, 2.0))
+        u = rng.normal(size=(n, 2)) * rng.uniform(0.2, 3.0)
+        if k % 2:
+            u[-1] *= 10.0 ** rng.uniform(-12.0, -4.0)
+        a = [float(v) for v in np.sum(u * u, axis=1)]
+        z = float(np.exp(rng.uniform(np.log(1e-4), np.log(1e3)))) * rng.choice([-1.0, 1.0])
+        yield [float(v) for v in d], rho, a, z, 2.0 * math.pi / float(d[-1])
+
+
+def test_solve_pz_matches_bisection():
+    """The safeguarded Newton root is within 8 ulps of the bisection root."""
+    worst = 0.0
+    for d, rho, a, z, pz_cut in _pz_cases(80, 1200):
+        got = geodesics._solve_pz(d, rho, a, z, pz_cut)
+        want = _bisect_pz(d, rho, a, z, pz_cut)
+        worst = max(worst, abs(got - want) / math.ulp(want))
+    assert worst <= 8.0
+
+
+def test_solve_pz_evaluation_count(monkeypatch):
+    """Newton, not its bisection fallback, does the work: few height
+    evaluations per root on average, and never near the 200-step cap."""
+    calls = []
+    height = geodesics._height
+
+    def counted(*args):
+        calls[-1] += 1
+        return height(*args)
+
+    monkeypatch.setattr(geodesics, "_height", counted)
+    for d, rho, a, z, pz_cut in _pz_cases(81, 1200):
+        calls.append(0)
+        geodesics._solve_pz(d, rho, a, z, pz_cut)
+    assert np.mean(calls) <= 20.0
+    assert max(calls) <= 100
+
+
+@pytest.mark.parametrize("t", [1.3, 0.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize(
+    "theta", [0.0, 1e-300, 1e-9, 1.0 - 1e-12, 1.0 + 1e-12, 2.0 * np.pi - 1e-3, 2.0 * np.pi - 1e-6]
+)
+def test_endpoint_frame_matches_numpy_copy(theta, sign, t):
+    """The per-block complex endpoint agrees with the shooting oracle's
+    vectorized numpy copy to 1e-14 relative; theta is the top block's."""
+    d, rho = [0.7, 1.9, 3.1], 0.8
+    ph = np.array([0.3, -0.5, 0.2, 0.4, 0.1, -0.6])
+    pz = sign * theta / (d[-1] * 1.3)
+    u, z = geodesics._endpoint_frame(d, rho, [complex(x, y) for x, y in zip(ph[:3], ph[3:])], pz, t)
+    u = np.array([v.real for v in u] + [v.imag for v in u])
+    u_np, z_np = endpoint_frame(d, rho, ph, np.float64(pz), t)
+    assert np.max(np.abs(u - u_np)) <= 1e-14 * np.max(np.abs(u_np))
+    if theta == 1e-300:
+        # the numpy copy's theta^2 underflows there and drops the swirl term;
+        # compare with the first-order height rho^2 p_z t + p_z t^3 sum d_i^2 |p_i|^2 / 12
+        swirl = sum(di * di * (x * x + y * y) for di, x, y in zip(d, ph[:3], ph[3:]))
+        z_np = rho * rho * pz * t + pz * t**3 * swirl / 12.0
+    assert abs(z - z_np) <= 1e-14 * abs(z_np)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.floats(0.1, 10.0),
+    st.lists(st.floats(1.0, 100.0), min_size=2, max_size=2),
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+    st.lists(st.floats(-10.0, 10.0), min_size=6, max_size=6),
+    st.floats(-1e3, 1e3),
+)
+def test_distance_property(n, d1, ratios, rho, u, z):
+    """For d_n / d_1 <= 100, any rho >= 0 and any target: no SolverFailure, a
+    length no shorter than the horizontal bound, unit speed and an arc that
+    reaches the target to a scaled residual of 1e-9."""
+    d = d1 * np.array(sorted([1.0] + ratios[: n - 1]))
+    sq = np.sqrt(d)
+    try:
+        c = canonicalize(MetricMatrix.from_matrix(np.diag(np.concatenate([sq, sq, [rho]]))))
+    except InvalidMetricError:  # rho in the rank gray zone: no metric to test
+        reject()
+    target = _frame_target(c, np.asarray(u[: 2 * n]), z)
+    got, mom = distance(c, target)
+    if not np.any(target.coords()):  # the identity: length 0, zero momentum
+        assert got == 0.0 and mom.speed(c) == 0.0
+        return
+    # the target's frame coordinates, and their norm by hypot: a sum of
+    # squares loses digits below 1e-154
+    u_t = np.linalg.solve(c.atilde, target.coords()[:-1])
+    assert got >= math.hypot(*u_t) * (1.0 - 1e-12)
+    assert mom.speed(c) == pytest.approx(1.0, abs=1e-12)
+    assert _scaled_miss(c, mom, got, target) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
