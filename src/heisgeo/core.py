@@ -45,7 +45,8 @@ def _clean_coords(
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise ValueError(shape_msg)
     z = float(z)
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and math.isfinite(z)):
+    # per element in Python: on length-n vectors a numpy ufunc costs more
+    if not all(map(math.isfinite, [*x.tolist(), *y.tolist(), z])):
         raise ValueError(finite_msg)
     x.flags.writeable = False
     y.flags.writeable = False
