@@ -37,7 +37,7 @@ from .geodesics import (
     quotient_distance,
     vertical_distance,
 )
-from .linalg import hilbert_schmidt_norm, shortest_lattice_vector, skew_normal_form
+from .linalg import shortest_lattice_vector, skew_normal_form
 from .metric import (
     CanonicalMetric,
     MetricMatrix,

@@ -1,4 +1,4 @@
-"""Hot numerical kernels, in numpy.
+"""The RK4 geodesic-flow kernel, in numpy.
 
 * ``rk4_flow`` -- fixed-step RK4 integration of the left-invariant
   Hamiltonian system in frame coordinates (geodesic flow oracle), over a
@@ -6,12 +6,7 @@
   over chunks of ``RK4_CHUNK`` steps: a scalar recursion for the momenta,
   then numpy prefix sums for the position; memory is bounded by the chunk,
   not by the number of steps.
-* ``svp_enumerate`` -- depth-first Fincke--Pohst enumeration of the shortest
-  nonzero vector of a positive-definite Gram matrix given its Cholesky
-  factor, with a deterministic lexicographic tie-break.
 """
-
-import math
 
 import numpy as np
 
@@ -137,95 +132,3 @@ def _rk4_row(h0, pz, rho, d, dt, steps, marks, h_at):
         z = np.cumsum(dz)[-1]
     return u, z
 
-
-# ---------------------------------------------------------------------------
-# Fincke--Pohst enumeration
-#
-# R is the upper-triangular Cholesky factor of an (LLL-reduced) Gram matrix,
-# U the unimodular change of basis back to the caller's coordinates and
-# c_init an upper bound on the minimal squared norm (some basis vector).
-# Returns (best squared norm, coefficient vector in caller coordinates);
-# among equal-norm minimizers the lexicographically smallest coefficient
-# vector wins.
-# ---------------------------------------------------------------------------
-
-_TIE_REL = 1e-12
-
-
-def _lex_smaller(a, b, m):
-    for j in range(m):
-        if a[j] < b[j] - 0.5:
-            return True
-        if a[j] > b[j] + 0.5:
-            return False
-    return False
-
-
-def svp_enumerate(R, U, c_init):
-    m = R.shape[0]
-    x = np.zeros(m, dtype=np.int64)
-    hi = np.zeros(m, dtype=np.int64)
-    s = np.zeros(m)
-    acc = np.zeros(m)
-    v = np.empty(m)
-
-    best_norm2 = np.inf
-    bound = c_init * (1.0 + 1e-9) + 1e-300
-    best_v = np.zeros(m)
-    has_best = False
-
-    i = m - 1
-    acc[i] = 0.0
-    s[i] = 0.0
-    halfw = math.sqrt(bound)
-    x[i] = int(math.ceil(-halfw / R[i, i] - 1e-9)) - 1
-    hi[i] = int(math.floor(halfw / R[i, i] + 1e-9))
-
-    while True:
-        x[i] += 1
-        if x[i] > hi[i]:
-            i += 1
-            if i >= m:
-                break
-            continue
-        contrib = (R[i, i] * x[i] + s[i]) ** 2
-        tot = acc[i] + contrib
-        if tot > bound:
-            continue
-        if i == 0:
-            nonzero = False
-            for j in range(m):
-                if x[j] != 0:
-                    nonzero = True
-                    break
-            if not nonzero:
-                continue
-            for j in range(m):
-                acc_v = 0.0
-                for k in range(m):
-                    acc_v += U[j, k] * x[k]
-                v[j] = acc_v
-            if (not has_best) or tot < best_norm2 * (1.0 - _TIE_REL):
-                best_norm2 = tot
-                bound = tot * (1.0 + 2.0 * _TIE_REL)
-                best_v[:] = v
-                has_best = True
-            elif tot <= best_norm2 * (1.0 + _TIE_REL):
-                if _lex_smaller(v, best_v, m):
-                    best_v[:] = v
-                if tot < best_norm2:
-                    best_norm2 = tot
-                    bound = tot * (1.0 + 2.0 * _TIE_REL)
-            continue
-        i -= 1
-        acc[i] = tot
-        ssum = 0.0
-        for j in range(i + 1, m):
-            ssum += R[i, j] * x[j]
-        s[i] = ssum
-        rem = bound - acc[i]
-        halfw = math.sqrt(rem if rem > 0.0 else 0.0)
-        x[i] = int(math.ceil((-halfw - ssum) / R[i, i] - 1e-9)) - 1
-        hi[i] = int(math.floor((halfw - ssum) / R[i, i] + 1e-9))
-
-    return best_norm2, best_v

@@ -68,13 +68,50 @@ def _emit(payload):
 # ---------------------------------------------------------------------------
 
 
+# Shape checks for parsed JSON: a value of the wrong JSON type is a
+# ValueError that names its field, and a missing field stays a KeyError.
+
+
+def _object(value, what):
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list")
+    return value
+
+
+def _integer(value, what):
+    """A JSON integer, or a float with an integral value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _integers(value, what):
+    return [_integer(v, f"{what} entry") for v in _list(value, what)]
+
+
+def _matrix(value, what):
+    """A list of rows of JSON numbers, as a float array."""
+    rows = _list(value, what)
+    if not all(isinstance(row, list) and all(type(v) in (int, float) for v in row) for row in rows):
+        raise ValueError(f"{what} must be a list of rows of numbers")
+    return np.asarray(rows, dtype=np.float64)
+
+
 def parse_metric_input(doc):
-    n = int(doc["n"])
-    lattice = LatticeSpec(tuple(int(v) for v in doc["lattice"]))
+    doc = _object(doc, "metric document")
+    n = _integer(doc["n"], "n")
+    lattice = LatticeSpec(tuple(_integers(doc["lattice"], "lattice")))
     if lattice.n != n:
         raise ValueError("lattice length must equal n")
-    mat = np.asarray(doc["matrix"], dtype=np.float64)
-    m = MetricMatrix.from_matrix(mat)
+    m = MetricMatrix.from_matrix(_matrix(doc["matrix"], "matrix"))
     if m.n != n:
         raise ValueError("matrix size does not match n")
     return m, lattice
@@ -142,7 +179,7 @@ def _family_entry(expr: str):
     result stays under _POW_BITS bits.  Anything else, and any value that
     divides by zero or does not fit a float, raises ValueError.
     """
-    if len(expr) > 100 or not set(expr) <= _ENTRY_CHARS:
+    if not isinstance(expr, str) or len(expr) > 100 or not set(expr) <= _ENTRY_CHARS:
         raise ValueError(f"unsupported family entry {expr!r}")
     try:
         term = _entry_term(ast.parse(expr, mode="eval").body, expr)
@@ -164,21 +201,24 @@ def eval_family_entry(expr: str, k: int) -> float:
 
 
 def parse_sequence_input(doc) -> SequenceSpec:
-    n = int(doc["n"])
-    lattice = [int(v) for v in doc["lattice"]]
-    fam = doc["family"]
+    doc = _object(doc, "sequence document")
+    n = _integer(doc["n"], "n")
+    lattice = _integers(doc["lattice"], "lattice")
+    fam = _object(doc["family"], "family")
     kind = fam["kind"]
     if kind == "diagonal-parametric":
-        entries = fam["entries"]
+        entries = _list(fam["entries"], "family.entries")
         if len(entries) != 2 * n + 1:
             raise ValueError("diagonal-parametric family needs 2n+1 entries")
-        k_lo, k_hi = (int(v) for v in fam["k_range"])
-        ks = list(range(k_lo, k_hi + 1))
+        k_range = _integers(fam["k_range"], "family.k_range")
+        if len(k_range) != 2:
+            raise ValueError("family.k_range must be [first, last]")
+        ks = list(range(k_range[0], k_range[1] + 1))
         terms = [_family_entry(e) for e in entries]
         matrices = [np.diag([f(k) for f in terms]) for k in ks]
     elif kind == "explicit":
-        matrices = [np.asarray(mm, dtype=np.float64) for mm in fam["matrices"]]
-        ks = [int(v) for v in fam.get("ks", range(1, len(matrices) + 1))]
+        matrices = [_matrix(mm, "family.matrices entry") for mm in _list(fam["matrices"], "family.matrices")]
+        ks = _integers(fam["ks"], "family.ks") if "ks" in fam else list(range(1, len(matrices) + 1))
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     return SequenceSpec.from_matrices(n, lattice, matrices, ks)

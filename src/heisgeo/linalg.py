@@ -1,21 +1,22 @@
-"""Matrix kernels: skew-symmetric normal form, Hilbert--Schmidt norm, and
-shortest lattice vector for a positive-definite Gram matrix."""
+"""Matrix kernels: skew-symmetric normal form, and the shortest vector of
+the integer lattice with a positive-definite Gram matrix (LLL on the Cholesky
+factor, then Fincke--Pohst enumeration in Python floats)."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
 __all__ = [
     "SkewNormalForm",
     "skew_normal_form",
-    "hilbert_schmidt_norm",
     "shortest_lattice_vector",
     "block_form",
 ]
 
 _SKEW_TOL = 1e-10
+# relative gap under which two squared norms count as a tie
+_TIE_REL = 1e-12
 
 
 def block_form(d):
@@ -108,58 +109,69 @@ def skew_normal_form(S) -> SkewNormalForm:
     return SkewNormalForm(R, d)
 
 
-def hilbert_schmidt_norm(M) -> float:
-    """sqrt(sum of squared entries)."""
-    M = np.asarray(M, dtype=np.float64)
-    return float(np.linalg.norm(M, "fro"))
-
-
 def _lll_reduce(G, delta=0.99, max_iter=10000):
     """LLL reduction of a Gram matrix.  Returns (G_red, U) with
-    G_red = U^T G U and U unimodular (integer, det +-1)."""
+    G_red = U^T G U and U unimodular (integer, det +-1).
+
+    Row k of L = cholesky(G_red) is basis vector k in its Gram--Schmidt
+    frame, so mu_kj = L_kj / L_jj and |b*_k|^2 = L_kk^2, and a size-reduction
+    step b_i -= q b_j subtracts q times row j of L from row i.  L is
+    refactorized only after a swap (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.6).  Rows of L and of the basis are Python
+    lists: at these sizes numpy's per-call cost exceeds the arithmetic.
+    """
     m = G.shape[0]
-    U = np.eye(m, dtype=np.int64)
-    Gc = G.copy()
-
-    def gso(Gc):
-        mu = np.zeros((m, m))
-        B = np.zeros(m)
-        for i in range(m):
-            B[i] = Gc[i, i]
-            for j in range(i):
-                mu[i, j] = Gc[i, j]
-                for k in range(j):
-                    mu[i, j] -= mu[i, k] * mu[j, k] * B[k]
-                mu[i, j] /= B[j]
-                B[i] -= mu[i, j] ** 2 * B[j]
-        return mu, B
-
-    def apply_col(U, Gc, i, j, q):
-        # col_i -= q * col_j
-        U[:, i] -= q * U[:, j]
-        Gc[:, i] -= q * Gc[:, j]
-        Gc[i, :] -= q * Gc[j, :]
-
+    basis = np.eye(m, dtype=np.int64).tolist()  # row k: coefficients of b_k
+    L = np.linalg.cholesky(G).tolist()
     it = 0
     i = 1
     while i < m:
         it += 1
         if it > max_iter:
             raise RuntimeError("LLL failed to terminate")
-        mu, B = gso(Gc)
+        Li, bi = L[i], basis[i]
         for j in range(i - 1, -1, -1):
-            q = int(round(mu[i, j]))
-            if q != 0:
-                apply_col(U, Gc, i, j, q)
-                mu, B = gso(Gc)
-        if B[i] < (delta - mu[i, i - 1] ** 2) * B[i - 1]:
-            U[:, [i - 1, i]] = U[:, [i, i - 1]]
-            Gc[:, [i - 1, i]] = Gc[:, [i, i - 1]]
-            Gc[[i - 1, i], :] = Gc[[i, i - 1], :]
+            q = round(Li[j] / L[j][j])
+            if q:
+                Lj = L[j]
+                for k in range(j + 1):
+                    Li[k] -= q * Lj[k]
+                basis[i] = bi = [a - q * b for a, b in zip(bi, basis[j])]
+        if Li[i] ** 2 + Li[i - 1] ** 2 < delta * L[i - 1][i - 1] ** 2:
+            basis[i - 1], basis[i] = bi, basis[i - 1]
+            B = np.array(basis, dtype=np.float64)
+            L = np.linalg.cholesky(B @ G @ B.T).tolist()
             i = max(i - 1, 1)
         else:
             i += 1
-    return Gc, U
+    U = np.array(basis, dtype=np.int64).T
+    return U.T @ G @ U, U
+
+
+def _short_vectors(R, bound):
+    """Every nonzero integer x with |R x|^2 <= bound, as (|R x|^2, x) pairs,
+    for an upper-triangular R given as nested lists: depth-first
+    Fincke--Pohst enumeration (Math. Comp. 44, 1985), last coordinate first."""
+    m = len(R)
+    x = [0] * m
+    found = []
+
+    def search(i, acc):
+        s = sum(R[i][j] * x[j] for j in range(i + 1, m))
+        r = R[i][i]
+        half = math.sqrt(max(bound - acc, 0.0))
+        for xi in range(math.ceil((-half - s) / r - 1e-9), math.floor((half - s) / r + 1e-9) + 1):
+            tot = acc + (r * xi + s) ** 2
+            if tot > bound:
+                continue
+            x[i] = xi
+            if i > 0:
+                search(i - 1, tot)
+            elif any(x):
+                found.append((tot, x.copy()))
+
+    search(m - 1, 0.0)
+    return found
 
 
 def shortest_lattice_vector(gram):
@@ -184,9 +196,11 @@ def shortest_lattice_vector(gram):
 
     G = 0.5 * (G + G.T)
     Gr, U = _lll_reduce(G)
-    R = np.linalg.cholesky(Gr).T  # upper triangular, Gr = R^T R
-    c_init = float(np.min(np.diag(Gr)))
-    _, v = _kernels.svp_enumerate(R, U.astype(np.float64), c_init)
-    coeffs = np.rint(v).astype(np.int64)
+    # the shortest reduced basis vector bounds the minimum
+    bound = float(np.min(np.diag(Gr))) * (1.0 + 1e-9)
+    found = _short_vectors(np.linalg.cholesky(Gr).T.tolist(), bound)
+    least = min(tot for tot, _ in found)
+    ties = [(U @ x).tolist() for tot, x in found if tot <= least * (1.0 + _TIE_REL)]
+    coeffs = np.array(min(ties), dtype=np.int64)
     norm = float(np.sqrt(coeffs @ G @ coeffs))
     return coeffs, norm

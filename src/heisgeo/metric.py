@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import LatticeSpec
 from .errors import InvalidMetricError, NotBracketGeneratingError, RiemannianOnlyError
-from .linalg import block_form, hilbert_schmidt_norm, skew_normal_form
+from .linalg import skew_normal_form
 
 __all__ = [
     "MetricMatrix",
@@ -243,8 +243,7 @@ class Invariants(NamedTuple):
 def invariants(m: MetricLike) -> Invariants:
     """(d, delta, |det Atilde|, |rho|) of the canonical representative."""
     c = canonicalize(m)
-    delta = hilbert_schmidt_norm(j_matrix(c))
-    return Invariants(c.d, delta, c.absdet, abs(c.rho))
+    return Invariants(c.d, c.delta, c.absdet, abs(c.rho))
 
 
 def ricci_matrix(m: MetricLike) -> np.ndarray:

@@ -13,6 +13,7 @@ compares.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,6 +39,28 @@ __all__ = [
 
 _SYMPL_TOL = 1e-9
 _INT_TOL = 1e-9
+
+
+def _require_positive(**values):
+    for name, v in values.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, not {v!r}")
+
+
+def _raise_on_inf(*values):
+    """A float product that overflows gives inf, not an OverflowError."""
+    if not all(map(math.isfinite, values)):
+        raise OverflowError
+
+
+@contextmanager
+def _no_overflow(what):
+    """Report a float overflow in the body, or a product that underflows to
+    a zero divisor, as a ValueError."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError) as e:
+        raise ValueError(f"{what} overflows a float for these inputs") from e
 
 
 def in_stabilizer(beta, spec: LatticeSpec):
@@ -113,22 +136,28 @@ def geometry_constants(
         C_- = C_2^{1/n} / sqrt(2 K)    (riemannian)
         C_3 = sqrt(2n) C_+             (subriemannian; larger case branch)
         C_1 = C_3^{-n} (4 n D)^{-(2n-1)}
+
+    D, V and K (riemannian) must be finite and positive; a constant that
+    overflows a float is a ValueError.
     """
-    if D <= 0 or V <= 0:
-        raise ValueError("D and V must be positive")
+    _require_positive(D=D, V=V)
     if mode not in ("riemannian", "subriemannian"):
         raise ValueError("mode must be riemannian or subriemannian")
-    c2 = float((4.0 * n * D) ** (-2 * n))
-    c_plus = spec.covolume_factor() / (V * c2)
     if mode == "riemannian":
-        if K is None or K <= 0:
+        if K is None:
             raise ValueError("riemannian mode requires a positive Ricci bound K")
-        c3 = math.sqrt(2.0 * K) * c_plus
-        c_minus = c2 ** (1.0 / n) / math.sqrt(2.0 * K)
-    else:
-        c3 = max(c_plus, math.sqrt(2.0 * n) * c_plus)
-        c_minus = None
-    c1 = c3 ** (-n) * (4.0 * n * D) ** (-(2 * n - 1))
+        _require_positive(K=K)
+    with _no_overflow("a geometry constant"):
+        c2 = float((4.0 * n * D) ** (-2 * n))
+        c_plus = spec.covolume_factor() / (V * c2)
+        if mode == "riemannian":
+            c3 = math.sqrt(2.0 * K) * c_plus
+            c_minus = c2 ** (1.0 / n) / math.sqrt(2.0 * K)
+        else:
+            c3 = max(c_plus, math.sqrt(2.0 * n) * c_plus)
+            c_minus = None
+        c1 = c3 ** (-n) * (4.0 * n * D) ** (-(2 * n - 1))
+        _raise_on_inf(c1, c2, c3, c_plus, c_minus or 0.0)
     return Constants(c1=c1, c2=c2, c3=c3, c_plus=c_plus, c_minus=c_minus, mode=mode)
 
 
@@ -202,10 +231,12 @@ def lattice_rank_bound(n: int, D: float, V: float) -> float:
 
         max{64 D^2 |B^{2n}(D)|^2 V^{-2}, 16 D^2 |B^{2n}(D)| V^{-1}}.
     """
-    if D <= 0 or V <= 0:
-        raise ValueError("D and V must be positive")
-    bv = ball_volume(2 * n, D)
-    return max(64.0 * D**2 * bv**2 / V**2, 16.0 * D**2 * bv / V)
+    _require_positive(D=D, V=V)
+    with _no_overflow("the lattice rank bound"):
+        bv = ball_volume(2 * n, D)
+        bound = max(64.0 * D**2 * bv**2 / V**2, 16.0 * D**2 * bv / V)
+        _raise_on_inf(bound)
+    return bound
 
 
 def enumerate_lattices(n: int, r_max: float):

@@ -18,6 +18,7 @@ the projected lattice basis lengths) plus the vertical fiber length; both are
 closed-form and the sum over-estimates the true diameter.
 """
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -138,9 +139,12 @@ def analyze_sequence(
     diameter_blowup_factor: float = 100.0,
     rho_zero_tol: float = 1e-9,
 ) -> SequenceReport:
-    """Classify a metric family against the volume floor V (see module doc)."""
-    if V <= 0:
-        raise ValueError("V must be positive")
+    """Classify a metric family against the volume floor V (see module doc).
+    V must be finite and positive, and the window an integer >= 1."""
+    if not (math.isfinite(V) and V > 0):
+        raise ValueError(f"V must be finite and positive, not {V!r}")
+    if not (isinstance(window, (int, np.integer)) and window >= 1):
+        raise ValueError(f"window must be an integer >= 1, not {window!r}")
     rows = [_compute_row(k, m, spec.lattice) for k, m in zip(spec.ks, spec.members)]
     w = min(window, len(rows))
     tail = rows[-w:]

@@ -132,9 +132,12 @@ def test_criterion_3_spectral_identity_suite():
         for i in range(1000):
             n = int(rng.integers(1, 4))
             mat = random_corank0(rng, n) if i % 2 == 0 else random_corank1(rng, n)
-            inv = invariants(MetricMatrix.from_matrix(mat))
-            delta_from_d = math.sqrt(2.0 * float(np.sum(inv.d**2)))
-            assert abs(inv.delta - delta_from_d) <= 1e-9 * inv.delta
+            c = canonicalize(MetricMatrix.from_matrix(mat))
+            inv = invariants(c)
+            # delta is read off d; the Hilbert-Schmidt norm of the bracket
+            # form Atilde^T J Atilde is computed independently
+            delta_hs = float(np.linalg.norm(j_matrix(c), "fro"))
+            assert abs(inv.delta - delta_hs) <= 1e-9 * inv.delta
             assert abs(inv.absdet - float(np.prod(inv.d))) <= 1e-9 * inv.absdet
 
 

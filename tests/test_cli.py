@@ -260,6 +260,49 @@ def test_validation_error_exit_code(capsys, tmp_path):
     assert doc["error"]["type"] == "InvalidMetricError"
 
 
+_IDENTITY_H1 = {"n": 1, "lattice": [1], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+_EXPLICIT_SEQUENCE = {"n": 1, "lattice": [1], "family": {"kind": "explicit", "matrices": [_IDENTITY_H1["matrix"]]}}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("invariants", [_IDENTITY_H1], "metric document"),
+        ("invariants", {**_IDENTITY_H1, "lattice": 1}, "lattice"),
+        ("sequence", {**_EXPLICIT_SEQUENCE, "family": {**_EXPLICIT_SEQUENCE["family"], "ks": None}}, "family.ks"),
+    ],
+    ids=["metric-list", "lattice-int", "ks-null"],
+)
+def test_document_shape_error_exit_code(capsys, tmp_path, command, doc, field):
+    # a document of the wrong JSON shape is a ValueError naming the field
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    flag = ["--input", str(path)] if command == "invariants" else ["--spec", str(path), "--volume-floor", "1"]
+    code, out, err = run_cli(capsys, command, *flag)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and error["message"].startswith(field)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--input", str(FIXTURES / "identity-h1.json"), "--D", "1e-300", "--V", "1", "--K", "1",
+         "--mode", "riemannian"],
+        ["check", "--input", str(FIXTURES / "identity-h1.json"), "--D", "nan", "--V", "1", "--K", "1",
+         "--mode", "riemannian"],
+        ["sequence", "--spec", str(FIXTURES / "ex-4-9.json"), "--volume-floor", "nan"],
+        ["sequence", "--spec", str(FIXTURES / "ex-4-9.json"), "--volume-floor", "0.5", "--window", "0"],
+        ["sequence", "--spec", str(FIXTURES / "ex-4-9.json"), "--volume-floor", "0.5", "--window", "-3"],
+    ],
+    ids=["D-overflow", "D-nan", "volume-floor-nan", "window-0", "window-negative"],
+)
+def test_numeric_argument_error_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run_cli(capsys, "invariants", "--input", "does-not-exist.json")
     assert code == 1

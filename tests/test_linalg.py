@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from heisgeo.linalg import (
-    _lll_reduce,
-    block_form,
-    hilbert_schmidt_norm,
-    shortest_lattice_vector,
-    skew_normal_form,
-)
+from heisgeo.linalg import _lll_reduce, block_form, shortest_lattice_vector, skew_normal_form
 
 from conftest import brute_force_shortest, random_orthogonal, random_unimodular
 
@@ -97,16 +91,6 @@ def test_product_of_d_is_pfaffian():
         assert np.prod(d) == pytest.approx(np.sqrt(abs(det)), rel=1e-9)
 
 
-def test_hilbert_schmidt_norm():
-    J = block_form(np.ones(3))
-    assert hilbert_schmidt_norm(J) == pytest.approx(np.sqrt(6.0), rel=1e-15)
-    assert hilbert_schmidt_norm(np.zeros((4, 4))) == 0.0
-    d = np.array([0.5, 2.0, 3.0])
-    assert hilbert_schmidt_norm(block_form(d)) == pytest.approx(
-        np.sqrt(2 * np.sum(d**2)), rel=1e-14
-    )
-
-
 def test_shortest_vector_simple():
     coeffs, norm = shortest_lattice_vector(np.eye(2))
     assert norm == pytest.approx(1.0, rel=1e-14)
@@ -160,3 +144,25 @@ def test_lll_unimodular():
         Gr, U = _lll_reduce(G)
         assert abs(abs(round(np.linalg.det(U.astype(np.float64)))) - 1) == 0
         assert np.max(np.abs(U.T @ G @ U - Gr)) <= 1e-8 * np.max(np.abs(G))
+        # size-reduced, and the Lovasz condition at delta = 0.99, read off the
+        # Cholesky factor: mu_ij = L_ij / L_jj, |b*_i|^2 = L_ii^2
+        L = np.linalg.cholesky(Gr)
+        mu = L / np.diag(L)[None, :]
+        assert np.all(np.abs(mu[np.tril_indices(5, -1)]) <= 0.5 + 1e-9)
+        for i in range(1, 5):
+            assert L[i, i] ** 2 + L[i, i - 1] ** 2 >= 0.99 * L[i - 1, i - 1] ** 2 * (1.0 - 1e-9)
+
+
+def test_shortest_vector_unimodular_identity():
+    # U^T U is the Gram of Z^m in the basis U: the minimizers are +-U^-1 e_k,
+    # of norm 1, and the lexicographically smallest of them is returned
+    rng = np.random.default_rng(11)
+    for m in range(2, 17):
+        for _ in range(5):
+            U = random_unimodular(rng, m)
+            U_inv = np.rint(np.linalg.inv(U)).astype(np.int64)
+            assert np.array_equal(U @ U_inv, np.eye(m, dtype=np.int64))
+            coeffs, norm = shortest_lattice_vector((U.T @ U).astype(np.float64))
+            assert norm == pytest.approx(1.0, rel=1e-12)
+            want = min(tuple(int(s * v) for v in U_inv[:, k]) for k in range(m) for s in (1, -1))
+            assert tuple(coeffs.tolist()) == want
