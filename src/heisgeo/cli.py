@@ -6,8 +6,12 @@ either an explicit matrix list or a diagonal-parametric family whose entries
 are rational expressions in the integer parameter k (evaluated exactly over
 the rationals, e.g. "1", "k", "1/k", "k**2/2").
 
-All outputs are JSON on stdout with sorted keys and shortest round-trip float
-rendering, so identical invocations are byte-identical; errors are JSON on
+A family holds at most sequence.MAX_MEMBERS members, checked before any
+matrix is built.
+
+All outputs are strict JSON on stdout with sorted keys and shortest
+round-trip float rendering, so identical invocations are byte-identical; an
+infinite Riemannian volume (corank 1) prints as null.  Errors are JSON on
 stderr with exit code 1 (validation, including a quotient search box over its
 size limit, or a lattice reduction that does not terminate) or 2 (a distance
 that fails its endpoint check).  --csv switches tabular sequence reports to
@@ -18,6 +22,7 @@ tunable parts.
 import argparse
 import ast
 import json
+import math
 import operator
 import sys
 from fractions import Fraction
@@ -44,7 +49,7 @@ from .metric import (
     total_measure,
 )
 from .moduli import check_precompactness, enumerate_lattices, geometry_constants, lattice_rank_bound
-from .sequence import SequenceSpec, analyze_sequence
+from .sequence import SequenceSpec, analyze_sequence, check_member_count
 
 __all__ = [
     "main",
@@ -56,7 +61,14 @@ __all__ = [
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # strict JSON: an infinite or NaN value raises instead of printing a
+    # token that standard parsers reject
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    """An infinite volume (the Riemannian one of a corank-1 metric) as None."""
+    return None if value == math.inf else value
 
 
 def _emit(payload):
@@ -213,11 +225,16 @@ def parse_sequence_input(doc) -> SequenceSpec:
         k_range = _integers(fam["k_range"], "family.k_range")
         if len(k_range) != 2:
             raise ValueError("family.k_range must be [first, last]")
+        check_member_count(k_range[1] - k_range[0] + 1)
         ks = list(range(k_range[0], k_range[1] + 1))
         terms = [_family_entry(e) for e in entries]
-        matrices = [np.diag([f(k) for f in terms]) for k in ks]
+        diagonals = np.array([[f(k) for f in terms] for k in ks]).reshape(len(ks), len(terms))
+        matrices = np.zeros((len(ks), len(terms), len(terms)))
+        matrices[:, range(len(terms)), range(len(terms))] = diagonals
     elif kind == "explicit":
-        matrices = [_matrix(mm, "family.matrices entry") for mm in _list(fam["matrices"], "family.matrices")]
+        docs = _list(fam["matrices"], "family.matrices")
+        check_member_count(len(docs))
+        matrices = [_matrix(mm, "family.matrices entry") for mm in docs]
         ks = _integers(fam["ks"], "family.ks") if "ks" in fam else list(range(1, len(matrices) + 1))
     else:
         raise ValueError(f"unknown family kind {kind!r}")
@@ -301,8 +318,8 @@ def _cmd_volume(args):
     _emit(
         {
             "kind": coeff.kind,
-            "coefficient": coeff.value,
-            "total_measure": total_measure(lattice, coeff),
+            "coefficient": _finite_or_null(coeff.value),
+            "total_measure": _finite_or_null(total_measure(lattice, coeff)),
         }
     )
     return 0
@@ -429,7 +446,7 @@ def _cmd_sequence(args):
                     "k": row.k,
                     "corank": row.corank,
                     "d": list(row.d),
-                    **{f: getattr(row, f) for f in _SEQUENCE_SCALAR_FIELDS},
+                    **{f: _finite_or_null(getattr(row, f)) for f in _SEQUENCE_SCALAR_FIELDS},
                 }
                 for row in report.rows
             ],

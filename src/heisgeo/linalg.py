@@ -31,39 +31,75 @@ def block_form(d):
 
 @dataclass(frozen=True, eq=False)
 class SkewNormalForm:
-    """Orthogonal R and ascending d >= 0 with R^T S R = [[0, D], [-D, 0]]."""
+    """Orthogonal R and ascending d >= 0 with R^T S R = [[0, D], [-D, 0]];
+    for a stack of matrices, R and d are stacked the same way."""
 
     R: np.ndarray
     d: np.ndarray
 
 
 def skew_normal_form(S) -> SkewNormalForm:
-    """Orthogonal normal form of a real skew-symmetric matrix of even size.
+    """Orthogonal normal form of a real skew-symmetric matrix of even size,
+    or of every matrix of an (N, m, m) stack at once.
 
     Strategy: -S^2 is symmetric positive semi-definite with each eigenvalue
-    d^2 of even multiplicity.  Take an orthonormal eigenbasis, group it into
-    near-equal clusters, and inside each cluster pair u with v = S u / |S u|,
-    which spans an S-invariant 2-plane.  Pairs are sorted by d ascending and
-    oriented so the (i, n+i) block entry is +d_i.
+    d^2 of even multiplicity.  Take an orthonormal eigenbasis (one stacked
+    `eigh`), group it into near-equal clusters, and inside each cluster pair
+    u with v = S u / |S u|, which spans an S-invariant 2-plane.  Pairs are
+    sorted by d ascending and oriented so the (i, n+i) block entry is +d_i.
+    A cluster of exactly two positive values is one such pair, so matrices
+    whose clusters are all pairs are paired in one stacked step; the others
+    go through the Gram--Schmidt loop one at a time.
     """
     S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1] or S.shape[0] % 2 != 0:
+    if S.ndim not in (2, 3) or S.shape[-1] != S.shape[-2] or S.shape[-1] % 2 != 0:
         raise ValueError("expected a square matrix of even size")
-    m = S.shape[0]
-    scale = np.max(np.abs(S))
-    if scale == 0.0:
-        return SkewNormalForm(np.eye(m), np.zeros(m // 2))
-    if np.max(np.abs(S + S.T)) > _SKEW_TOL * scale:
+    if S.ndim == 2:
+        nf = skew_normal_form(S[None])
+        return SkewNormalForm(nf.R[0], nf.d[0])
+    m = S.shape[-1]
+    n = m // 2
+    scale = np.abs(S).max(axis=(1, 2))
+    if (np.abs(S + S.transpose(0, 2, 1)).max(axis=(1, 2)) > _SKEW_TOL * scale).any():
         raise ValueError("matrix is not skew-symmetric within tolerance")
 
     M = -(S @ S)
-    M = 0.5 * (M + M.T)
+    M = 0.5 * (M + M.transpose(0, 2, 1))
     evals, Q = np.linalg.eigh(M)
-    dvals = np.sqrt(np.clip(evals, 0.0, None))  # ascending, each value twice
+    dvals = np.sqrt(np.maximum(evals, 0.0))  # ascending, each value twice
 
     # Cluster nearly equal d values; chained gaps stay far below the
     # contractual 1e-9 relative residual.
-    tol = 1e-10 * max(dvals[-1], 1.0) + 1e-300
+    tol = 1e-10 * np.maximum(dvals[:, -1], 1.0) + 1e-300
+    split = dvals[:, 1:] - dvals[:, :-1] > tol[:, None]
+    # every cluster is a pair of positive values: splits after the 2nd, 4th, ...
+    paired = (split == (np.arange(1, m) % 2 == 0)).all(axis=1) & (dvals[:, 0] > tol)
+    R = np.empty_like(S)
+    d = np.empty((S.shape[0], n))
+    rows = np.flatnonzero(paired)
+    if rows.size:
+        if rows.size == S.shape[0]:
+            rows = slice(None)
+        # u is the first eigenvector of each pair; the pairs are already in
+        # ascending order, as they are separated by more than tol
+        U = Q[rows, :, 0::2]
+        W = S[rows] @ U
+        d[rows] = np.sqrt((W * W).sum(axis=1))
+        R[rows, :, :n] = U
+        R[rows, :, n:] = -W / d[rows][:, None, :]  # orientation: u^T S (-v) = +d
+    for i in np.flatnonzero(~paired):
+        if scale[i] == 0.0:
+            R[i], d[i] = np.eye(m), 0.0
+        else:
+            R[i], d[i] = _pair_clusters(S[i], dvals[i], Q[i], tol[i])
+    return SkewNormalForm(R, d)
+
+
+def _pair_clusters(S, dvals, Q, tol):
+    """R and d of one skew matrix from the eigenbasis Q of -S^2, cluster by
+    cluster: a kernel cluster is paired as it stands, any other one vector
+    at a time, re-orthonormalizing the rest after each pair."""
+    m = S.shape[0]
     clusters = []
     start = 0
     for i in range(1, m):
@@ -89,7 +125,7 @@ def skew_normal_form(S) -> SkewNormalForm:
             dval = float(np.linalg.norm(w))
             v = w / dval
             pairs.append((dval, u, v))
-            if basis:
+            if len(basis) > 1:
                 # project {u, v} out of the remainder; one direction dies, so
                 # re-orthonormalize through an SVD (rank-revealing, unlike QR)
                 B = np.stack(basis, axis=1)
@@ -97,6 +133,9 @@ def skew_normal_form(S) -> SkewNormalForm:
                 B -= np.outer(v, v @ B)
                 Qb, _, _ = np.linalg.svd(B, full_matrices=False)
                 basis = [Qb[:, j].copy() for j in range(len(basis) - 1)]
+            else:
+                # a vector left over is +-v, already paired
+                basis = []
 
     pairs.sort(key=lambda p: p[0])
     n = m // 2
@@ -106,7 +145,7 @@ def skew_normal_form(S) -> SkewNormalForm:
         d[i] = dval
         R[:, i] = u
         R[:, n + i] = -v  # orientation: u^T S (-v) = +d
-    return SkewNormalForm(R, d)
+    return R, d
 
 
 def _lll_reduce(G, delta=0.99, max_iter=10000):

@@ -11,10 +11,17 @@ block-diagonal representative blockdiag(Atilde, rho) with Atilde invertible
 The skew form Atilde^T J Atilde encodes the bracket structure constants of
 the orthonormal frame; its spectrum +-i d_1, ..., +-i d_n carries the
 isometry invariants of the metric.
+
+Validation and reduction are written once, for a stack of matrices: numpy's
+SVD, eigh, solve and det run on (N, m, m) arrays in one call.
+`MetricMatrix.from_matrices` and `canonicalize_family` take a whole family
+that way, and `from_matrix` and `canonicalize` are the same code on a stack
+of one.
 """
 
+import functools
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import List, NamedTuple, Union
 
 import numpy as np
 
@@ -30,6 +37,7 @@ __all__ = [
     "standard_symplectic",
     "weak_canonicalize",
     "canonicalize",
+    "canonicalize_family",
     "j_matrix",
     "invariants",
     "ricci_matrix",
@@ -53,6 +61,28 @@ def standard_symplectic(n: int):
     return J
 
 
+def _spans_v0(mats):
+    """Whether the horizontal projection of the image spans v_0, for each
+    matrix of an (N, 2n+1, 2n+1) stack."""
+    n2 = mats.shape[-1] - 1
+    s = np.linalg.svd(mats[:, :n2, :], compute_uv=False)
+    return s[:, -1] > _RANK_TOL * s[:, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _symplectic(n):
+    J = standard_symplectic(n)
+    J.flags.writeable = False
+    return J
+
+
+@functools.lru_cache(maxsize=None)
+def _eye(dim):
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True, eq=False)
 class MetricMatrix:
     """Validated metric matrix together with its corank."""
@@ -72,12 +102,8 @@ class MetricMatrix:
         object.__setattr__(self, "mat", mat)
         if self.corank not in (0, 1):
             raise InvalidMetricError("corank must be 0 or 1")
-        if self.corank == 1:
-            # horizontal projection of the image must span v_0
-            top = mat[: 2 * self.n, :]
-            s = np.linalg.svd(top, compute_uv=False)
-            if s[-1] <= _RANK_TOL * s[0]:
-                raise InvalidMetricError("corank-1 image is not bracket generating")
+        if self.corank == 1 and not _spans_v0(mat[None])[0]:
+            raise InvalidMetricError("corank-1 image is not bracket generating")
 
     @classmethod
     def from_matrix(cls, mat):
@@ -86,26 +112,82 @@ class MetricMatrix:
         Relative threshold 1e-10: smaller values count as zero, but only if
         they are below 1e-12; anything in between is ambiguous and rejected.
         """
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 == 0:
-            raise InvalidMetricError("expected a square matrix of odd size")
-        n = (mat.shape[0] - 1) // 2
-        if n < 1:
-            raise InvalidMetricError("need size at least 3")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidMetricError("matrix entries must be finite")
-        s = np.linalg.svd(mat, compute_uv=False)
+        return cls.from_matrices([mat])[0]
+
+    @classmethod
+    def from_matrices(cls, mats, label=lambda i: ""):
+        """`from_matrix` for each of a list of matrices, with one stacked
+        SVD per matrix size.  The first invalid member, in list order,
+        raises its InvalidMetricError with ``label(i)`` put in front."""
+        mats = [np.asarray(mat, dtype=np.float64) for mat in mats]
+        first = (len(mats), "")  # (index, message) of the first invalid member
+        by_shape = {}
+        for i, mat in enumerate(mats):
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2 == 0:
+                first = min(first, (i, "expected a square matrix of odd size"))
+            elif mat.shape[0] < 3:
+                first = min(first, (i, "need size at least 3"))
+            else:
+                by_shape.setdefault(mat.shape, []).append(i)
+        members = [None] * len(mats)
+        for (dim, _), idx in by_shape.items():
+            stack = np.array([mats[i] for i in idx])
+            stack.flags.writeable = False
+            coranks, bad, message = _classify(stack)
+            if bad is not None:
+                first = min(first, (idx[bad], message))
+            for i, mat, corank in zip(idx, stack, coranks):
+                members[i] = cls._validated((dim - 1) // 2, mat, corank)
+        if first[0] < len(mats):
+            raise InvalidMetricError(label(first[0]) + first[1])
+        return members
+
+    @classmethod
+    def _validated(cls, n, mat, corank):
+        """A member that `_classify` has already checked, built without
+        checking it again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "mat", mat)
+        object.__setattr__(m, "corank", corank)
+        return m
+
+
+def _classify(stack):
+    """Coranks of an (N, 2n+1, 2n+1) stack, from one stacked SVD, and the
+    position and message of its first invalid member (None and "" when
+    there is none).  The thresholds are read in Python floats: on a few
+    singular values per member that costs less than numpy's per-call
+    overhead."""
+    finite = None
+    if not np.isfinite(stack).all():
+        # a member with a non-finite entry is classified as a zero matrix,
+        # then reported as non-finite
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        stack = np.where(finite[:, None, None], stack, 0.0)
+    coranks = []
+    first, message = None, ""
+    for i, row in enumerate(np.linalg.svd(stack, compute_uv=False)):
+        s = row.tolist()
         if s[0] == 0.0:
-            raise InvalidMetricError("zero matrix")
-        rel = s / s[0]
-        if np.any((rel >= _ZERO_TOL) & (rel < _RANK_TOL)):
-            raise InvalidMetricError(
-                "singular values in the gray zone [1e-12, 1e-10); refusing to classify corank"
-            )
-        corank = int(np.sum(rel < _ZERO_TOL))
-        if corank > 1:
-            raise InvalidMetricError(f"corank {corank} > 1 is not supported")
-        return cls(n, mat, corank)
+            first = i
+            message = "zero matrix" if finite is None or finite[i] else "matrix entries must be finite"
+            break
+        rel = [v / s[0] for v in s]
+        if any(_ZERO_TOL <= r < _RANK_TOL for r in rel):
+            first = i
+            message = "singular values in the gray zone [1e-12, 1e-10); refusing to classify corank"
+            break
+        coranks.append(sum(r < _ZERO_TOL for r in rel))
+        if coranks[-1] > 1:
+            first, message = i, f"corank {coranks[-1]} > 1 is not supported"
+            break
+    one = [i for i, corank in enumerate(coranks) if corank == 1 and i != first]
+    if one:
+        spans = _spans_v0(stack[one])
+        if not spans.all():
+            first, message = one[int(np.argmin(spans))], "corank-1 image is not bracket generating"
+    return coranks, first, message
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +199,8 @@ class CanonicalMetric:
     normal form built from d (ascending, positive).  The representative is
     unique only up to a residual O(2n) x {+-1} action, so metric equality is
     decided on the invariants (d, |det Atilde|, rho), never on matrices.
+    ``absdet`` is |det Atilde| and ``delta`` the Hilbert--Schmidt norm
+    sqrt(2 sum d_i^2) of the frame bracket form, both computed once.
     """
 
     n: int
@@ -126,19 +210,12 @@ class CanonicalMetric:
     P: np.ndarray
     R: np.ndarray
     source: MetricMatrix
+    absdet: float
+    delta: float
 
     @property
     def corank(self):
         return self.source.corank
-
-    @property
-    def delta(self):
-        """Hilbert--Schmidt norm of the frame bracket form; sqrt(2 sum d_i^2)."""
-        return float(np.sqrt(2.0 * np.sum(self.d**2)))
-
-    @property
-    def absdet(self):
-        return float(abs(np.linalg.det(self.atilde)))
 
     def matrix(self):
         """The canonical representative as a full (2n+1) matrix."""
@@ -152,16 +229,77 @@ class CanonicalMetric:
 MetricLike = Union[MetricMatrix, CanonicalMetric]
 
 
-def _householder_to_last(r):
-    """Orthogonal matrix mapping e_last to the unit vector r (identity when
-    r = e_last), built as a single reflection."""
-    dim = r.shape[0]
-    v = r.copy()
-    v[-1] -= 1.0
-    vv = float(v @ v)
-    if vv < 1e-28:
-        return np.eye(dim)
-    return np.eye(dim) - 2.0 * np.outer(v, v) / vv
+def _rows(mask):
+    """Index of the True entries of mask: a full slice when that is all of
+    them, None when there are none."""
+    if mask.all():
+        return slice(None)
+    return np.flatnonzero(mask) if mask.any() else None
+
+
+def _weak_reduce(n, A, coranks):
+    """Weak reduction of an (N, 2n+1, 2n+1) stack of validated metrics:
+    stacked (P, R, Atilde, rho), see `weak_canonicalize`."""
+    dim = 2 * n + 1
+    r = np.empty((len(A), dim))
+    rho = np.zeros(len(A))
+    one = _rows(coranks == 1)
+    zero = _rows(coranks == 0) if one is not None else slice(None)
+    if one is not None:
+        _, _, Vt = np.linalg.svd(A[one])
+        k = Vt[:, -1]  # kernel direction
+        largest = k[np.arange(len(k)), np.argmax(np.abs(k), axis=1)]
+        r[one] = np.where(largest[:, None] < 0, -k, k)
+    if zero is not None:
+        # unit normal to the span of the first 2n rows
+        _, _, Vt = np.linalg.svd(A[zero, : dim - 1, :])
+        w = Vt[:, -1]
+        h = np.add.reduce(A[zero, -1, :] * w, axis=1)
+        r[zero] = np.where(h[:, None] < 0, -w, w)
+        rho[zero] = np.abs(h)
+    # R: one Householder reflection mapping e_last to r (I when r = e_last)
+    v = r
+    v[:, -1] -= 1.0  # v = r - e_last, in place
+    vv = np.add.reduce(v * v, axis=1)
+    fixed = vv < 1e-28
+    R = _eye(dim) - (2.0 * v)[:, :, None] * v[:, None, :] / (vv + fixed)[:, None, None]
+    if fixed.any():
+        R[fixed] = _eye(dim)
+    AR = A @ R
+    atilde = AR[:, : dim - 1, : dim - 1]
+    sa = np.linalg.svd(atilde, compute_uv=False)
+    singular = sa[:, -1] <= _RANK_TOL * np.maximum(sa[:, 0], 1e-300)
+    _fail_first(singular, "image is not bracket generating", n, A, coranks)
+    g = -np.linalg.solve(atilde.transpose(0, 2, 1), AR[:, -1, : dim - 1, None])[:, :, 0]
+    P = _eye(dim) + np.zeros((len(A), 1, 1))
+    P[:, -1, : dim - 1] = g
+    return P, R, atilde, rho
+
+
+def _fail_first(bad, message, n, A, coranks):
+    """Raise `message` if any member is bad, after reducing the members
+    before the first bad one in full, so that the first member in order to
+    fail any check is the one reported."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        _reduce(n, A[:i], coranks[:i])
+        raise InvalidMetricError(message)
+
+
+def _reduce(n, A, coranks):
+    """Canonical reduction of an (N, 2n+1, 2n+1) stack of validated metrics:
+    stacked (P, R, Atilde, rho, d, |det Atilde|)."""
+    if len(A) == 0:
+        return None
+    P, R, atilde, rho = _weak_reduce(n, A, coranks)
+    C = atilde.transpose(0, 2, 1) @ _symplectic(n) @ atilde
+    nf = skew_normal_form(C)
+    d = nf.d
+    degenerate = d[:, 0] <= _RANK_TOL * np.maximum(d[:, -1], 1e-300)
+    _fail_first(degenerate, "degenerate bracket form: some d_i vanishes", n, A, coranks)
+    atilde = atilde @ nf.R
+    R[:, :, : 2 * n] = R[:, :, : 2 * n] @ nf.R
+    return P, R, atilde, rho, d, np.abs(np.linalg.det(atilde))
 
 
 def weak_canonicalize(m: MetricMatrix):
@@ -172,54 +310,37 @@ def weak_canonicalize(m: MetricMatrix):
     coordinate, with the sign chosen so rho >= 0.  P = [[I, 0], [g, 1]] then
     clears the residual last row via g = -a Atilde^{-1}.
     """
-    A = m.mat
-    n = m.n
-    dim = 2 * n + 1
-    if m.corank == 1:
-        _, s, Vt = np.linalg.svd(A)
-        r = Vt[-1]  # kernel direction
-        j = int(np.argmax(np.abs(r)))
-        if r[j] < 0:
-            r = -r
-        rho = 0.0
-    else:
-        # unit normal to the span of the first 2n rows
-        _, s, Vt = np.linalg.svd(A[: dim - 1, :])
-        r = Vt[-1]
-        rho = float(A[-1] @ r)
-        if rho < 0:
-            r = -r
-            rho = -rho
-    R = _householder_to_last(r)
-    AR = A @ R
-    atilde = AR[: dim - 1, : dim - 1]
-    sa = np.linalg.svd(atilde, compute_uv=False)
-    if sa[-1] <= _RANK_TOL * max(sa[0], 1e-300):
-        raise InvalidMetricError("image is not bracket generating")
-    a_row = AR[-1, : dim - 1]
-    g = -np.linalg.solve(atilde.T, a_row)
-    P = np.eye(dim)
-    P[-1, : dim - 1] = g
-    return P, R, atilde, rho
+    P, R, atilde, rho = _weak_reduce(m.n, m.mat[None], np.array([m.corank]))
+    return P[0], R[0], atilde[0], float(rho[0])
+
+
+def canonicalize_family(members) -> List[CanonicalMetric]:
+    """`canonicalize` for each of a list of validated metrics of one n, as
+    one stacked reduction.  The first member, in list order, that fails a
+    check raises its InvalidMetricError."""
+    members = list(members)
+    if not members:
+        return []
+    n = members[0].n
+    if any(m.n != n for m in members):
+        raise ValueError("family members must share n")
+    A = np.stack([m.mat for m in members]) if len(members) > 1 else members[0].mat[None]
+    P, R, atilde, rho, d, absdet = _reduce(n, A, np.array([m.corank for m in members]))
+    delta = np.sqrt(2.0 * np.add.reduce(d * d, axis=1))
+    values = zip(members, rho.tolist(), absdet.tolist(), delta.tolist())
+    return [
+        CanonicalMetric(n, atilde[i], r, d[i], P[i], R[i], m, a, dl)
+        for i, (m, r, a, dl) in enumerate(values)
+    ]
 
 
 def canonicalize(m: MetricLike) -> CanonicalMetric:
     """Weak canonical form followed by the orthogonal normalization that puts
-    Atilde^T J Atilde into the block form with ascending d."""
+    Atilde^T J Atilde into the block form with ascending d: the stacked
+    reduction of `canonicalize_family` on a stack of one."""
     if isinstance(m, CanonicalMetric):
         return m
-    P, R, atilde, rho = weak_canonicalize(m)
-    n = m.n
-    C = atilde.T @ standard_symplectic(n) @ atilde
-    nf = skew_normal_form(C)
-    atilde_c = atilde @ nf.R
-    R_ext = np.eye(2 * n + 1)
-    R_ext[: 2 * n, : 2 * n] = nf.R
-    R_full = R @ R_ext
-    d = nf.d
-    if d[0] <= _RANK_TOL * max(d[-1], 1e-300):
-        raise InvalidMetricError("degenerate bracket form: some d_i vanishes")
-    return CanonicalMetric(n=n, atilde=atilde_c, rho=rho, d=d, P=P, R=R_full, source=m)
+    return canonicalize_family([m])[0]
 
 
 def j_matrix(c) -> np.ndarray:

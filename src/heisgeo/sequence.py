@@ -16,6 +16,11 @@ checks Cauchy behavior over a trailing window and documents its thresholds.
 The diameter proxy is the flat-torus quotient diameter bound (half the sum of
 the projected lattice basis lengths) plus the vertical fiber length; both are
 closed-form and the sum over-estimates the true diameter.
+
+A family is validated with one stacked SVD and reduced to canonical form by
+one stacked pass (`metric.canonicalize_family`); the rows are then read off
+the canonical members with the metric and geodesic functions.  A family holds
+at most MAX_MEMBERS members, because the stacks grow with its length.
 """
 
 import math
@@ -25,11 +30,10 @@ from typing import List, Optional
 import numpy as np
 
 from .core import LatticeSpec
-from .errors import InvalidMetricError
 from .geodesics import vertical_distance
 from .metric import (
     MetricMatrix,
-    canonicalize,
+    canonicalize_family,
     minimal_popp_coeff,
     popp_coeff_v0,
     ricci_matrix,
@@ -37,7 +41,23 @@ from .metric import (
     total_measure,
 )
 
-__all__ = ["SequenceSpec", "SequenceRow", "SequenceReport", "analyze_sequence"]
+__all__ = [
+    "MAX_MEMBERS",
+    "SequenceSpec",
+    "SequenceRow",
+    "SequenceReport",
+    "analyze_sequence",
+    "check_member_count",
+]
+
+# A family is reduced as one stack, so its memory grows with its length.
+MAX_MEMBERS = 10_000
+
+
+def check_member_count(count):
+    """ValueError unless a family of `count` members is within MAX_MEMBERS."""
+    if count > MAX_MEMBERS:
+        raise ValueError(f"family has {count} members; the limit is {MAX_MEMBERS}")
 
 
 @dataclass(frozen=True)
@@ -58,14 +78,14 @@ class SequenceSpec:
 
     @classmethod
     def from_matrices(cls, n, lattice, matrices, ks=None):
-        members = []
+        """Validate the members with `MetricMatrix.from_matrices` (one
+        stacked SVD); an invalid member's error names its k."""
         if ks is None:
             ks = list(range(1, len(matrices) + 1))
-        for k, mat in zip(ks, matrices):
-            try:
-                members.append(MetricMatrix.from_matrix(mat))
-            except InvalidMetricError as e:
-                raise InvalidMetricError(f"family member k={k}: {e}") from e
+        check_member_count(min(len(ks), len(matrices)))
+        members = MetricMatrix.from_matrices(
+            matrices[: len(ks)], label=lambda i: f"family member k={ks[i]}: "
+        )
         return cls(n=n, lattice=LatticeSpec(tuple(lattice)), ks=tuple(ks), members=tuple(members))
 
 
@@ -95,15 +115,15 @@ class SequenceReport:
     window: int
 
 
-def _torus_diameter_bound(c, spec):
-    dr = np.concatenate([np.asarray(spec.r, dtype=np.float64), np.ones(c.n)])
-    lengths = np.linalg.norm(np.linalg.inv(c.atilde) * dr[None, :], axis=0)
-    return 0.5 * float(np.sum(lengths))
+def _torus_diameter_bounds(cs, spec):
+    """Half the summed lengths of the projected lattice basis, for each
+    canonical member, with one stacked inverse."""
+    dr = np.concatenate([np.asarray(spec.r, dtype=np.float64), np.ones(cs[0].n)])
+    inv = np.linalg.inv(np.stack([c.atilde for c in cs]))
+    return (0.5 * np.sum(np.linalg.norm(inv * dr, axis=1), axis=1)).tolist()
 
 
-def _compute_row(k, m, spec):
-    c = canonicalize(m)
-    delta = c.delta
+def _compute_row(k, c, spec, torus_bound):
     fiber, _ = vertical_distance(c, 1.0)
     if c.corank == 0:
         ric = np.diagonal(ricci_matrix(c))
@@ -113,15 +133,15 @@ def _compute_row(k, m, spec):
     return SequenceRow(
         k=int(k),
         corank=c.corank,
-        d=tuple(float(v) for v in c.d),
-        delta=delta,
+        d=tuple(c.d.tolist()),
+        delta=c.delta,
         absdet=c.absdet,
         absrho=abs(c.rho),
         riemannian_total=total_measure(spec, riemannian_volume_coeff(c)),
         popp_total=total_measure(spec, popp_coeff_v0(c)),
         minimal_popp_total=total_measure(spec, minimal_popp_coeff(c)),
         fiber_length=fiber,
-        diameter_proxy=_torus_diameter_bound(c, spec) + fiber,
+        diameter_proxy=torus_bound + fiber,
         ricci_min=ric_min,
         ricci_max=ric_max,
     )
@@ -145,7 +165,9 @@ def analyze_sequence(
         raise ValueError(f"V must be finite and positive, not {V!r}")
     if not (isinstance(window, (int, np.integer)) and window >= 1):
         raise ValueError(f"window must be an integer >= 1, not {window!r}")
-    rows = [_compute_row(k, m, spec.lattice) for k, m in zip(spec.ks, spec.members)]
+    cs = canonicalize_family(spec.members)
+    bounds = _torus_diameter_bounds(cs, spec.lattice)
+    rows = [_compute_row(k, c, spec.lattice, b) for k, c, b in zip(spec.ks, cs, bounds)]
     w = min(window, len(rows))
     tail = rows[-w:]
 

@@ -412,3 +412,61 @@ def test_lll_failure_exit_code(capsys, monkeypatch):
     assert code == 1 and out == ""
     doc = json.loads(err)
     assert doc["error"] == {"type": "RuntimeError", "message": "LLL failed to terminate"}
+
+
+# ---------------------------------------------------------------------------
+# strict JSON and bounded families
+# ---------------------------------------------------------------------------
+
+
+def _strict_json(text):
+    """json.loads that refuses the Infinity / NaN extension tokens."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_volume_riemannian_corank1_is_strict_json(capsys, tmp_path):
+    path = tmp_path / "sub.json"
+    path.write_text(json.dumps({"n": 1, "lattice": [1], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 0]]}))
+    code, out, _ = run_cli(capsys, "volume", "--input", str(path), "--kind", "riemannian")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["coefficient"] is None and doc["total_measure"] is None
+
+
+def test_sequence_corank1_member_is_strict_json(capsys, tmp_path):
+    path = tmp_path / "seq.json"
+    spec = {"n": 1, "lattice": [1],
+            "family": {"kind": "diagonal-parametric", "entries": ["1", "1", "(k-1)/k"], "k_range": [1, 8]}}
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli(capsys, "sequence", "--spec", str(path), "--volume-floor", "0.5")
+    assert code == 0
+    rows = _strict_json(out)["rows"]
+    assert rows[0]["corank"] == 1 and rows[0]["riemannian_total"] is None
+    assert rows[1]["riemannian_total"] == 2.0
+
+
+def test_canonical_json_refuses_non_finite():
+    with pytest.raises(ValueError):
+        cli.canonical_json({"x": float("inf")})
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"kind": "diagonal-parametric", "entries": ["1", "1", "1/k"], "k_range": [1, 10**9]},
+        {"kind": "explicit", "matrices": [[[1]]] * 10_001},
+    ],
+    ids=["k-range", "explicit"],
+)
+def test_family_member_limit_exit_code(capsys, tmp_path, family):
+    # refused from the member count, before any matrix is built
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"n": 1, "lattice": [1], "family": family}))
+    code, out, err = run_cli(capsys, "sequence", "--spec", str(path), "--volume-floor", "0.5")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError" and "limit is 10000" in error["message"]

@@ -166,3 +166,24 @@ def test_shortest_vector_unimodular_identity():
             assert norm == pytest.approx(1.0, rel=1e-12)
             want = min(tuple(int(s * v) for v in U_inv[:, k]) for k in range(m) for s in (1, -1))
             assert tuple(coeffs.tolist()) == want
+
+
+def test_skew_normal_form_stack():
+    # generic, repeated (identity-like), singular and zero members in one
+    # stack: each matches its own normal form, paired or looped
+    rng = np.random.default_rng(8)
+    S0 = block_form(np.ones(3))
+    singular = np.zeros((6, 6))
+    singular[0, 1], singular[1, 0] = 2.0, -2.0
+    Q = random_orthogonal(rng, 6)
+    stack = np.array([random_skew(rng, 6), Q.T @ S0 @ Q, singular, np.zeros((6, 6)), random_skew(rng, 6)])
+    nf = skew_normal_form(stack)
+    assert nf.R.shape == (5, 6, 6) and nf.d.shape == (5, 3)
+    for S, R, d in zip(stack, nf.R, nf.d):
+        one = skew_normal_form(S)
+        assert np.allclose(d, one.d, rtol=1e-14, atol=0.0)
+        assert np.max(np.abs(R.T @ R - np.eye(6))) <= 1e-12
+        assert np.max(np.abs(R.T @ S @ R - block_form(d))) <= 1e-12 * max(np.max(np.abs(S)), 1.0)
+    assert np.array_equal(nf.R[3], np.eye(6)) and not nf.d[3].any()
+    with pytest.raises(ValueError):
+        skew_normal_form(np.stack([random_skew(rng, 4), np.eye(4)]))

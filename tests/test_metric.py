@@ -12,6 +12,7 @@ from heisgeo import (
 from heisgeo.metric import (
     MetricMatrix,
     canonicalize,
+    canonicalize_family,
     invariants,
     j_matrix,
     minimal_popp_coeff,
@@ -329,3 +330,88 @@ def test_minimal_popp_continuity_along_family():
     limit = minimal_popp_coeff(diag_metric(1, 1, 0)).value
     assert vals[-1] == pytest.approx(limit, rel=1e-12)
     assert np.max(np.abs(np.diff(vals))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked reduction of a family
+# ---------------------------------------------------------------------------
+
+
+def _frame_metric(rng, d, corank):
+    """L blockdiag(S diag(sqrt d, sqrt d), rho) Q: bracket spectrum d, with
+    S symplectic, L an inner automorphism and Q orthogonal."""
+    n = len(d)
+    M = random_orthogonal(rng, n) @ np.diag(rng.uniform(0.7, 1.4, n)) @ random_orthogonal(rng, n)
+    B = rng.uniform(-0.3, 0.3, (n, n))
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    S = np.block([[M, zero], [zero, np.linalg.inv(M).T]]) @ np.block([[eye, B + B.T], [zero, eye]])
+    sq = np.sqrt(np.asarray(d, dtype=np.float64))
+    core = np.zeros((2 * n + 1, 2 * n + 1))
+    core[: 2 * n, : 2 * n] = S @ np.diag(np.concatenate([sq, sq]))
+    core[-1, -1] = 0.0 if corank else rng.uniform(0.4, 1.5)
+    L = np.eye(2 * n + 1)
+    L[-1, : 2 * n] = rng.uniform(-1.0, 1.0, 2 * n)
+    return L @ core @ random_orthogonal(rng, 2 * n + 1)
+
+
+def _sweep_stack(rng, n, count):
+    """Seeded metrics of both coranks, random ones and frames with repeated
+    d (the identity, and d_1 = d_2 != d_3 at n = 3), shuffled in one list."""
+    mats = []
+    for i in range(count):
+        corank = i % 2
+        kind = i % 5
+        if kind == 0 and n >= 2:
+            mats.append(np.eye(2 * n + 1) if corank == 0 else _frame_metric(rng, np.ones(n), 1))
+        elif kind == 1 and n >= 2:
+            d = np.ones(n) if n == 2 else np.array([1.3, 1.3, 0.6])
+            mats.append(_frame_metric(rng, d, corank))
+        elif kind == 2:
+            mats.append(_frame_metric(rng, np.sort(rng.uniform(0.5, 2.0, n)), corank))
+        else:
+            make = random_corank1 if corank else random_corank0
+            mats.append(make(rng, n, cond_max=1e2))
+    order = rng.permutation(count)
+    return [mats[i] for i in order]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_canonicalize_family_matches_members(n):
+    rng = np.random.default_rng(500 + n)
+    mats = _sweep_stack(rng, n, 350)
+    members = MetricMatrix.from_matrices(mats)
+    family = canonicalize_family(members)
+    assert {m.corank for m in members} == {0, 1}
+    repeated = 0
+    for m, c in zip(members, family):
+        one = canonicalize(m)
+        assert np.max(np.abs(c.d - one.d)) <= 1e-12 * np.max(one.d)
+        assert c.rho == pytest.approx(one.rho, rel=1e-12, abs=0.0)
+        assert c.absdet == pytest.approx(one.absdet, rel=1e-12)
+        assert c.absdet == pytest.approx(abs(np.linalg.det(c.atilde)), rel=1e-12)
+        assert c.delta == pytest.approx(np.sqrt(2.0 * np.sum(c.d**2)), rel=1e-15)
+        # P A R = blockdiag(Atilde, rho) with R orthogonal
+        scale = np.max(np.abs(m.mat))
+        assert np.max(np.abs(c.P @ m.mat @ c.R - c.matrix())) <= 1e-12 * scale
+        assert np.max(np.abs(c.R.T @ c.R - np.eye(2 * n + 1))) <= 1e-12
+        C = c.atilde.T @ standard_symplectic(n) @ c.atilde
+        assert np.max(np.abs(C - block_form(c.d))) <= 1e-12 * np.max(c.d)
+        repeated += bool(np.any(np.diff(c.d) <= 1e-9 * c.d[-1]))
+    assert repeated >= (100 if n >= 2 else 0)
+
+
+def test_canonicalize_family_empty_and_mixed_n():
+    assert canonicalize_family([]) == []
+    with pytest.raises(ValueError, match="share n"):
+        canonicalize_family([diag_metric(1, 1, 1), diag_metric(1, 1, 1, 1, 1)])
+
+
+def test_from_matrices_matches_from_matrix():
+    rng = np.random.default_rng(9)
+    mats = [random_corank0(rng, 2), random_corank1(rng, 2), np.eye(5), np.diag([1.0, 2, 3, 4, 0])]
+    stacked = MetricMatrix.from_matrices(mats)
+    for mat, m in zip(mats, stacked):
+        one = MetricMatrix.from_matrix(mat)
+        assert (m.n, m.corank) == (one.n, one.corank)
+        assert np.array_equal(m.mat, one.mat)
+        assert not m.mat.flags.writeable
