@@ -7,7 +7,7 @@ are rational expressions in the integer parameter k (evaluated exactly over
 the rationals, e.g. "1", "k", "1/k", "k**2/2").
 
 A family holds at most sequence.MAX_MEMBERS members, checked before any
-matrix is built.
+matrix is built.  Error messages quote input cut to ECHO_CHARS characters.
 
 All outputs are strict JSON on stdout with sorted keys and shortest
 round-trip float rendering, so identical invocations are byte-identical; an
@@ -83,6 +83,17 @@ def _emit(payload):
 # Shape checks for parsed JSON: a value of the wrong JSON type is a
 # ValueError that names its field, and a missing field stays a KeyError.
 
+ECHO_CHARS = 80
+
+
+def _echo(value):
+    """repr(value) for an error message, cut to ECHO_CHARS characters plus a
+    note of its length, so a long input cannot make a long error document."""
+    text = repr(value)
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
+
 
 def _object(value, what):
     if not isinstance(value, dict):
@@ -101,7 +112,7 @@ def _integer(value, what):
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, not {value!r}")
+        raise ValueError(f"{what} must be an integer, not {_echo(value)}")
     return value
 
 
@@ -180,7 +191,7 @@ def _entry_term(node, expr):
         op = _ENTRY_OPS[type(node.op)]
         f, g = _entry_term(node.left, expr), _entry_term(node.right, expr)
         return lambda k: op(f(k), g(k))
-    raise ValueError(f"unsupported family entry {expr!r}")
+    raise ValueError(f"unsupported family entry {_echo(expr)}")
 
 
 def _family_entry(expr: str):
@@ -192,17 +203,17 @@ def _family_entry(expr: str):
     divides by zero or does not fit a float, raises ValueError.
     """
     if not isinstance(expr, str) or len(expr) > 100 or not set(expr) <= _ENTRY_CHARS:
-        raise ValueError(f"unsupported family entry {expr!r}")
+        raise ValueError(f"unsupported family entry {_echo(expr)}")
     try:
         term = _entry_term(ast.parse(expr, mode="eval").body, expr)
     except SyntaxError as e:
-        raise ValueError(f"cannot parse family entry {expr!r}: {e}") from e
+        raise ValueError(f"cannot parse family entry {_echo(expr)}: {e}") from e
 
     def value(k):
         try:
             return float(term(Fraction(k)))
         except (ZeroDivisionError, OverflowError) as e:
-            raise ValueError(f"cannot evaluate family entry {expr!r} at k={k}: {e}") from e
+            raise ValueError(f"cannot evaluate family entry {_echo(expr)} at k={k}: {e}") from e
 
     return value
 
@@ -237,7 +248,7 @@ def parse_sequence_input(doc) -> SequenceSpec:
         matrices = [_matrix(mm, "family.matrices entry") for mm in docs]
         ks = _integers(fam["ks"], "family.ks") if "ks" in fam else list(range(1, len(matrices) + 1))
     else:
-        raise ValueError(f"unknown family kind {kind!r}")
+        raise ValueError(f"unknown family kind {_echo(kind)}")
     return SequenceSpec.from_matrices(n, lattice, matrices, ks)
 
 
@@ -247,7 +258,10 @@ def parse_sequence_file(path) -> SequenceSpec:
 
 
 def _parse_floats(text, expect=None):
-    vals = [float(v) for v in text.split(",")]
+    try:
+        vals = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"expected comma-separated numbers, got {_echo(text)}") from None
     if expect is not None and len(vals) != expect:
         raise ValueError(f"expected {expect} comma-separated values, got {len(vals)}")
     return vals

@@ -13,13 +13,18 @@ the orthonormal frame; its spectrum +-i d_1, ..., +-i d_n carries the
 isometry invariants of the metric.
 
 Validation and reduction are written once, for a stack of matrices: numpy's
-SVD, eigh, solve and det run on (N, m, m) arrays in one call.
+SVD, eigh and solve run on (N, m, m) arrays in one call.
 `MetricMatrix.from_matrices` and `canonicalize_family` take a whole family
 that way, and `from_matrix` and `canonicalize` are the same code on a stack
-of one.
+of one.  The reduction runs at unit scale (each member divided by a power of
+two, exactly), so its outputs follow the homothety law of a scaled frame bit
+for bit.  Since Atilde^T J Atilde = block_form(d), |det Atilde| is the
+product of the d_i and needs no determinant.
 """
 
 import functools
+import math
+import sys
 from dataclasses import dataclass
 from typing import List, NamedTuple, Union
 
@@ -27,7 +32,7 @@ import numpy as np
 
 from .core import LatticeSpec
 from .errors import InvalidMetricError, NotBracketGeneratingError, RiemannianOnlyError
-from .linalg import skew_normal_form
+from .linalg import _skew_normal_form
 
 __all__ = [
     "MetricMatrix",
@@ -51,6 +56,7 @@ __all__ = [
 
 _RANK_TOL = 1e-10
 _ZERO_TOL = 1e-12
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 def standard_symplectic(n: int):
@@ -96,14 +102,13 @@ class MetricMatrix:
         dim = 2 * self.n + 1
         if mat.shape != (dim, dim):
             raise InvalidMetricError(f"expected a {dim}x{dim} matrix")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidMetricError("matrix entries must be finite")
         mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
-        if self.corank not in (0, 1):
-            raise InvalidMetricError("corank must be 0 or 1")
-        if self.corank == 1 and not _spans_v0(mat[None])[0]:
-            raise InvalidMetricError("corank-1 image is not bracket generating")
+        coranks, bad, message = _classify(mat[None])
+        if bad is not None:
+            raise InvalidMetricError(message)
+        if self.corank != coranks[0]:
+            raise InvalidMetricError(f"declared corank {self.corank!r} but the matrix has corank {coranks[0]}")
 
     @classmethod
     def from_matrix(cls, mat):
@@ -199,8 +204,8 @@ class CanonicalMetric:
     normal form built from d (ascending, positive).  The representative is
     unique only up to a residual O(2n) x {+-1} action, so metric equality is
     decided on the invariants (d, |det Atilde|, rho), never on matrices.
-    ``absdet`` is |det Atilde| and ``delta`` the Hilbert--Schmidt norm
-    sqrt(2 sum d_i^2) of the frame bracket form, both computed once.
+    ``absdet`` is |det Atilde| = prod d_i and ``delta`` the Hilbert--Schmidt
+    norm sqrt(2 sum d_i^2) of the frame bracket form, both read off d once.
     """
 
     n: int
@@ -229,77 +234,45 @@ class CanonicalMetric:
 MetricLike = Union[MetricMatrix, CanonicalMetric]
 
 
-def _rows(mask):
-    """Index of the True entries of mask: a full slice when that is all of
-    them, None when there are none."""
-    if mask.all():
-        return slice(None)
-    return np.flatnonzero(mask) if mask.any() else None
+def _distinguished(A, corank):
+    """(r, rho) for a stack of metrics of one corank: the unit kernel of A,
+    its largest entry positive, and 0 (corank 1), or the unit normal
+    A^{-1} e_last / |A^{-1} e_last| and rho = A[-1] . r > 0 (corank 0)."""
+    if corank:
+        k = np.linalg.svd(A)[2][:, -1]
+        largest = k[np.arange(len(k)), np.abs(k).argmax(axis=1)]
+        return np.where(largest[:, None] < 0, -k, k), np.zeros(len(A))
+    x = np.linalg.solve(A, _eye(A.shape[-1])[-1])
+    r = x / np.sqrt(np.add.reduce(x * x, axis=1))[:, None]
+    return r, np.add.reduce(A[:, -1, :] * r, axis=1)
 
 
 def _weak_reduce(n, A, coranks):
-    """Weak reduction of an (N, 2n+1, 2n+1) stack of validated metrics:
-    stacked (P, R, Atilde, rho), see `weak_canonicalize`."""
+    """Weak reduction of an (N, 2n+1, 2n+1) stack of validated metrics with
+    a list of their coranks: stacked (P, R, Atilde, rho), see
+    `weak_canonicalize`."""
     dim = 2 * n + 1
-    r = np.empty((len(A), dim))
-    rho = np.zeros(len(A))
-    one = _rows(coranks == 1)
-    zero = _rows(coranks == 0) if one is not None else slice(None)
-    if one is not None:
-        _, _, Vt = np.linalg.svd(A[one])
-        k = Vt[:, -1]  # kernel direction
-        largest = k[np.arange(len(k)), np.argmax(np.abs(k), axis=1)]
-        r[one] = np.where(largest[:, None] < 0, -k, k)
-    if zero is not None:
-        # unit normal to the span of the first 2n rows
-        _, _, Vt = np.linalg.svd(A[zero, : dim - 1, :])
-        w = Vt[:, -1]
-        h = np.add.reduce(A[zero, -1, :] * w, axis=1)
-        r[zero] = np.where(h[:, None] < 0, -w, w)
-        rho[zero] = np.abs(h)
-    # R: one Householder reflection mapping e_last to r (I when r = e_last)
-    v = r
-    v[:, -1] -= 1.0  # v = r - e_last, in place
-    vv = np.add.reduce(v * v, axis=1)
-    fixed = vv < 1e-28
-    R = _eye(dim) - (2.0 * v)[:, :, None] * v[:, None, :] / (vv + fixed)[:, None, None]
-    if fixed.any():
-        R[fixed] = _eye(dim)
+    if len(set(coranks)) == 1:
+        r, rho = _distinguished(A, coranks[0])
+    else:
+        r, rho = np.empty((len(A), dim)), np.empty(len(A))
+        for corank in (0, 1):
+            rows = [i for i, c in enumerate(coranks) if c == corank]
+            r[rows], rho[rows] = _distinguished(A[rows], corank)
+    # R: the Householder reflection of v = r + sign(r_last) e_last maps
+    # e_last to -+r (|v|^2 >= 2, no cancellation); its last column is then
+    # set to r.  R = I when r = e_last.
+    v = r.copy()
+    v[:, -1] += np.where(r[:, -1] < 0, -1.0, 1.0)
+    R = _eye(dim) - v[:, :, None] * (v * (2.0 / np.add.reduce(v * v, axis=1))[:, None])[:, None, :]
+    R[:, :, -1] = r
     AR = A @ R
-    atilde = AR[:, : dim - 1, : dim - 1]
-    sa = np.linalg.svd(atilde, compute_uv=False)
-    singular = sa[:, -1] <= _RANK_TOL * np.maximum(sa[:, 0], 1e-300)
-    _fail_first(singular, "image is not bracket generating", n, A, coranks)
-    g = -np.linalg.solve(atilde.transpose(0, 2, 1), AR[:, -1, : dim - 1, None])[:, :, 0]
-    P = _eye(dim) + np.zeros((len(A), 1, 1))
-    P[:, -1, : dim - 1] = g
+    atilde = AR[:, :-1, :-1]
+    g = -np.linalg.solve(atilde.transpose(0, 2, 1), AR[:, -1, :-1, None])[:, :, 0]
+    P = np.empty_like(A)
+    P[:] = _eye(dim)
+    P[:, -1, :-1] = g
     return P, R, atilde, rho
-
-
-def _fail_first(bad, message, n, A, coranks):
-    """Raise `message` if any member is bad, after reducing the members
-    before the first bad one in full, so that the first member in order to
-    fail any check is the one reported."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        _reduce(n, A[:i], coranks[:i])
-        raise InvalidMetricError(message)
-
-
-def _reduce(n, A, coranks):
-    """Canonical reduction of an (N, 2n+1, 2n+1) stack of validated metrics:
-    stacked (P, R, Atilde, rho, d, |det Atilde|)."""
-    if len(A) == 0:
-        return None
-    P, R, atilde, rho = _weak_reduce(n, A, coranks)
-    C = atilde.transpose(0, 2, 1) @ _symplectic(n) @ atilde
-    nf = skew_normal_form(C)
-    d = nf.d
-    degenerate = d[:, 0] <= _RANK_TOL * np.maximum(d[:, -1], 1e-300)
-    _fail_first(degenerate, "degenerate bracket form: some d_i vanishes", n, A, coranks)
-    atilde = atilde @ nf.R
-    R[:, :, : 2 * n] = R[:, :, : 2 * n] @ nf.R
-    return P, R, atilde, rho, d, np.abs(np.linalg.det(atilde))
 
 
 def weak_canonicalize(m: MetricMatrix):
@@ -310,14 +283,18 @@ def weak_canonicalize(m: MetricMatrix):
     coordinate, with the sign chosen so rho >= 0.  P = [[I, 0], [g, 1]] then
     clears the residual last row via g = -a Atilde^{-1}.
     """
-    P, R, atilde, rho = _weak_reduce(m.n, m.mat[None], np.array([m.corank]))
+    P, R, atilde, rho = _weak_reduce(m.n, m.mat[None], [m.corank])
     return P[0], R[0], atilde[0], float(rho[0])
 
 
 def canonicalize_family(members) -> List[CanonicalMetric]:
     """`canonicalize` for each of a list of validated metrics of one n, as
     one stacked reduction.  The first member, in list order, that fails a
-    check raises its InvalidMetricError."""
+    check raises its InvalidMetricError, as do invariants outside the
+    normal float range.  Each member is divided by a power of two near its
+    largest entry (exact) and its outputs scaled back exactly, so scaling a
+    frame by 2^k scales Atilde, rho, d, |det Atilde|, delta by 2^k, 2^k,
+    4^k, 4^(nk), 4^k."""
     members = list(members)
     if not members:
         return []
@@ -325,12 +302,29 @@ def canonicalize_family(members) -> List[CanonicalMetric]:
     if any(m.n != n for m in members):
         raise ValueError("family members must share n")
     A = np.stack([m.mat for m in members]) if len(members) > 1 else members[0].mat[None]
-    P, R, atilde, rho, d, absdet = _reduce(n, A, np.array([m.corank for m in members]))
-    delta = np.sqrt(2.0 * np.add.reduce(d * d, axis=1))
-    values = zip(members, rho.tolist(), absdet.tolist(), delta.tolist())
+    e = np.frexp(np.abs(A).max(axis=(1, 2)))[1] - 1
+    P, R, atilde, rho = _weak_reduce(n, np.ldexp(A, -e[:, None, None]), [m.corank for m in members])
+    Rn, d = _skew_normal_form(atilde.transpose(0, 2, 1) @ _symplectic(n) @ atilde)
+    scalars = []
+    for ei, ds, r in zip(e.tolist(), d.tolist(), rho.tolist()):
+        if ds[0] <= _RANK_TOL * ds[-1]:
+            raise InvalidMetricError("degenerate bracket form: some d_i vanishes")
+        # Atilde^T J Atilde = block_form(d), so |det Atilde| = prod d_i
+        try:
+            absdet = math.ldexp(math.prod(ds), 2 * n * ei)
+            delta = math.ldexp(math.sqrt(2.0 * sum(v * v for v in ds)), 2 * ei)
+            in_range = min(absdet, math.ldexp(ds[0], 2 * ei)) >= _FLOAT_MIN and absdet < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            raise InvalidMetricError("metric scale out of range: its invariants overflow or underflow a float")
+        scalars.append((math.ldexp(r, ei), absdet, delta))
+    atilde = np.ldexp(atilde @ Rn, e[:, None, None])
+    d = np.ldexp(d, 2 * e[:, None])
+    R[:, :, :-1] = R[:, :, :-1] @ Rn
     return [
-        CanonicalMetric(n, atilde[i], r, d[i], P[i], R[i], m, a, dl)
-        for i, (m, r, a, dl) in enumerate(values)
+        CanonicalMetric(n, atilde[i], r, d[i], P[i], R[i], m, absdet, delta)
+        for i, (m, (r, absdet, delta)) in enumerate(zip(members, scalars))
     ]
 
 

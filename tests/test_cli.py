@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -470,3 +471,49 @@ def test_family_member_limit_exit_code(capsys, tmp_path, family):
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert error["type"] == "ValueError" and "limit is 10000" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "diagonal, d",
+    [((1e-6, 1e-6, 1.0), 1e-12), ((1e150, 1e150, 1e150), 1e150 * 1e150)],
+    ids=["small", "large"],
+)
+def test_invariants_at_extreme_scales(capsys, tmp_path, diagonal, d):
+    # reduced at unit scale: exact invariants, and no numpy warning (turned
+    # into an error here) on the way
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "lattice": [1], "matrix": np.diag(diagonal).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "invariants", "--input", str(path))
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["d"] == [d] and doc["absdet"] == d and doc["absrho"] == diagonal[2]
+
+
+def test_invariants_out_of_float_range_exit_code(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "lattice": [1], "matrix": (1e200 * np.eye(3)).tolist()}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "invariants", "--input", str(path))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidMetricError" and "scale out of range" in error["message"]
+
+
+def test_long_input_is_cut_in_error_messages(capsys, tmp_path):
+    entry = "+".join(["k"] * 20000)
+    path = tmp_path / "seq.json"
+    family = {"kind": "diagonal-parametric", "entries": [entry, "1", "1"], "k_range": [1, 3]}
+    path.write_text(json.dumps({"n": 1, "lattice": [1], "family": family}))
+    code, out, err = run_cli(capsys, "sequence", "--spec", str(path), "--volume-floor", "0.5")
+    assert code == 1 and out == ""
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith("unsupported family entry 'k+k+")
+    assert message.endswith(f"... ({len(entry) + 2} characters)")
+    assert len(message) <= cli.ECHO_CHARS + 60
+    code, out, err = run_cli(
+        capsys, "geodesic", "--input", str(FIXTURES / "identity-h1.json"), "--momentum", "x" * 5000, "--t", "1"
+    )
+    assert code == 1 and len(json.loads(err)["error"]["message"]) <= cli.ECHO_CHARS + 60

@@ -118,10 +118,23 @@ def _random_pd_gram(rng, m, cond_max=1e4):
             return G
 
 
+def _skewed_gram(rng, m):
+    """U^T B^T B U: B has singular values in [e^-1.5, e^1.5] between random
+    rotations, and U is a random unimodular skew, so LLL has to swap."""
+    B = random_orthogonal(rng, m) @ np.diag(np.exp(rng.uniform(-1.5, 1.5, m))) @ random_orthogonal(rng, m)
+    U = random_unimodular(rng, m, steps=m, entry_bound=2).astype(np.float64)
+    return U.T @ (B.T @ B) @ U
+
+
+def _skewed_grams(seed, count=500):
+    rng = np.random.default_rng(seed)
+    return [_skewed_gram(rng, 2 + i % 5) for i in range(count)]
+
+
 def test_shortest_vector_vs_brute_force():
     rng = np.random.default_rng(8)
-    for _ in range(10):
-        G = _random_pd_gram(rng, 4)
+    grams = [_random_pd_gram(rng, 4) for _ in range(10)] + _skewed_grams(31)
+    for G in grams:
         coeffs, norm = shortest_lattice_vector(G)
         assert norm == pytest.approx(brute_force_shortest(G, norm), rel=1e-10)
         assert norm == pytest.approx(np.sqrt(coeffs @ G @ coeffs), rel=1e-12)
@@ -138,18 +151,21 @@ def test_shortest_vector_unimodular_invariance():
 
 
 def test_lll_unimodular():
+    # the in-place swap update of mu and B, checked against a fresh Cholesky
+    # factor of the reduced Gram, on random and on skewed Grams
     rng = np.random.default_rng(10)
-    for _ in range(20):
-        G = _random_pd_gram(rng, 5)
+    for G in [_random_pd_gram(rng, 5) for _ in range(20)] + _skewed_grams(31):
+        m = G.shape[0]
         Gr, U = _lll_reduce(G)
+        assert U.dtype == np.int64
         assert abs(abs(round(np.linalg.det(U.astype(np.float64)))) - 1) == 0
         assert np.max(np.abs(U.T @ G @ U - Gr)) <= 1e-8 * np.max(np.abs(G))
         # size-reduced, and the Lovasz condition at delta = 0.99, read off the
         # Cholesky factor: mu_ij = L_ij / L_jj, |b*_i|^2 = L_ii^2
         L = np.linalg.cholesky(Gr)
         mu = L / np.diag(L)[None, :]
-        assert np.all(np.abs(mu[np.tril_indices(5, -1)]) <= 0.5 + 1e-9)
-        for i in range(1, 5):
+        assert np.all(np.abs(mu[np.tril_indices(m, -1)]) <= 0.5 + 1e-9)
+        for i in range(1, m):
             assert L[i, i] ** 2 + L[i, i - 1] ** 2 >= 0.99 * L[i - 1, i - 1] ** 2 * (1.0 - 1e-9)
 
 
@@ -187,3 +203,20 @@ def test_skew_normal_form_stack():
     assert np.array_equal(nf.R[3], np.eye(6)) and not nf.d[3].any()
     with pytest.raises(ValueError):
         skew_normal_form(np.stack([random_skew(rng, 4), np.eye(4)]))
+
+
+def test_skew_normal_form_homothety():
+    # the normal form is taken at unit scale, so scaling S by 2^k scales d
+    # by 2^k exactly and leaves R unchanged, for every k with normal results
+    rng = np.random.default_rng(12)
+    for m in (2, 4, 6):
+        S = random_skew(rng, m)
+        nf = skew_normal_form(S)
+        for k in (-1000, -300, -7, -1, 1, 9, 300, 1000):
+            scaled = skew_normal_form(np.ldexp(S, k))
+            assert np.array_equal(scaled.R, nf.R)
+            assert np.array_equal(scaled.d, np.ldexp(nf.d, k))
+    # d far below 1e-10 is not mistaken for a kernel
+    assert skew_normal_form(np.array([[0.0, 1e-12], [-1e-12, 0.0]])).d[0] == 1e-12
+    with pytest.raises(ValueError, match="finite"):
+        skew_normal_form(np.array([[0.0, np.inf], [-np.inf, 0.0]]))

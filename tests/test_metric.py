@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heisgeo import (
     AlgebraVector,
@@ -384,10 +388,11 @@ def test_canonicalize_family_matches_members(n):
     assert {m.corank for m in members} == {0, 1}
     repeated = 0
     for m, c in zip(members, family):
+        # bit for bit what the member gets alone
         one = canonicalize(m)
-        assert np.max(np.abs(c.d - one.d)) <= 1e-12 * np.max(one.d)
-        assert c.rho == pytest.approx(one.rho, rel=1e-12, abs=0.0)
-        assert c.absdet == pytest.approx(one.absdet, rel=1e-12)
+        for field in ("atilde", "d", "P", "R"):
+            assert np.array_equal(getattr(c, field), getattr(one, field))
+        assert (c.rho, c.absdet, c.delta) == (one.rho, one.absdet, one.delta)
         assert c.absdet == pytest.approx(abs(np.linalg.det(c.atilde)), rel=1e-12)
         assert c.delta == pytest.approx(np.sqrt(2.0 * np.sum(c.d**2)), rel=1e-15)
         # P A R = blockdiag(Atilde, rho) with R orthogonal
@@ -415,3 +420,99 @@ def test_from_matrices_matches_from_matrix():
         assert (m.n, m.corank) == (one.n, one.corank)
         assert np.array_equal(m.mat, one.mat)
         assert not m.mat.flags.writeable
+
+
+# |k| <= HOMOTHETY_K[n], i.e. |2nk| <= 900, keeps 4^(nk) |det Atilde| and
+# 4^k d normal floats for these draws: random_corank0/1 keep the singular
+# values in (1e-3, 40), so 2^-60 < |det Atilde| < 2^32
+HOMOTHETY_K = {1: 450, 2: 225, 3: 150}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    corank=st.integers(0, 1),
+    data=st.data(),
+)
+def test_canonicalize_homothety(seed, n, corank, data):
+    # scaling the frame by s = 2^k: d -> s^2 d, rho -> s rho,
+    # |det Atilde| -> s^(2n) |det Atilde|, delta -> s^2 delta, exactly,
+    # because the reduction runs at unit scale
+    k = data.draw(st.integers(-HOMOTHETY_K[n], HOMOTHETY_K[n]), label="k")
+    rng = np.random.default_rng(seed)
+    A = random_corank1(rng, n) if corank else random_corank0(rng, n)
+    c = canonicalize(MetricMatrix.from_matrix(A))
+    s = canonicalize(MetricMatrix.from_matrix(np.ldexp(A, k)))
+    assert np.array_equal(s.d, np.ldexp(c.d, 2 * k))
+    assert s.rho == math.ldexp(c.rho, k)
+    assert s.absdet == math.ldexp(c.absdet, 2 * n * k)
+    assert s.delta == math.ldexp(c.delta, 2 * k)
+    assert np.array_equal(s.atilde, np.ldexp(c.atilde, k))
+    assert np.array_equal(s.P, c.P) and np.array_equal(s.R, c.R)
+
+
+def test_scale_witnesses():
+    # d = 1e-12 is not mistaken for a kernel
+    c = canonicalize(diag_metric(1e-6, 1e-6, 1))
+    assert c.d.tolist() == [1e-12] and c.absdet == 1e-12
+    # 1e150 I: C = 1e300 J is formed at unit scale, so nothing overflows
+    a = 1e150
+    c = canonicalize(diag_metric(a, a, a))
+    assert c.d.tolist() == [a * a] and c.absdet == a * a and c.rho == a
+    assert c.delta == pytest.approx(math.sqrt(2.0) * a * a, rel=1e-15)
+    # invariants outside the float range are refused, not returned as inf
+    with pytest.raises(InvalidMetricError, match="scale out of range"):
+        canonicalize(diag_metric(1e200, 1e200, 1e200))
+    with pytest.raises(InvalidMetricError, match="scale out of range"):
+        canonicalize(diag_metric(1e-200, 1e-200, 1e-200))
+
+
+def test_gray_zone_edge():
+    # a relative singular value just inside [1e-12, 1e-10) is refused by the
+    # classifier; just outside, the metric reduces
+    for s, accepted in ((0.99e-10, False), (1.01e-10, True)):
+        # corank 0: the height direction nearly vanishes
+        A = np.diag([1.0, 1.0, s])
+        # corank 1 whose horizontal rows nearly lose rank: A itself is fine
+        B = np.array([[1.0, 0.0, 0.0], [0.0, s, 0.0], [0.0, 1.0, 0.0]])
+        if not accepted:
+            with pytest.raises(InvalidMetricError, match="gray zone"):
+                MetricMatrix.from_matrix(A)
+            with pytest.raises(InvalidMetricError, match="not bracket generating"):
+                MetricMatrix.from_matrix(B)
+            continue
+        assert canonicalize(MetricMatrix.from_matrix(A)).rho == s
+        c = canonicalize(MetricMatrix.from_matrix(B))
+        assert c.corank == 1 and c.d[0] == pytest.approx(s, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_atilde_conditioning_is_bounded_by_the_metric(n):
+    # interlacing: sigma_min/sigma_max of Atilde is at least that of A
+    # (corank 0) or of A's first 2n rows (corank 1), which the classifier
+    # keeps above 1e-10, so Atilde needs no check of its own
+    rng = np.random.default_rng(40 + n)
+    for corank in (0, 1):
+        for _ in range(40):
+            mat = random_corank1(rng, n) if corank else random_corank0(rng, n)
+            c = canonicalize(MetricMatrix.from_matrix(mat))
+            sa = np.linalg.svd(c.atilde, compute_uv=False)
+            s = np.linalg.svd(mat[: 2 * n] if corank else mat, compute_uv=False)
+            assert sa[-1] / sa[0] >= s[-1] / s[0] * (1.0 - 1e-9)
+
+
+def test_constructor_checks_declared_corank():
+    with pytest.raises(InvalidMetricError, match="declared corank 1"):
+        MetricMatrix(1, np.eye(3), 1)
+    with pytest.raises(InvalidMetricError, match="declared corank 0"):
+        MetricMatrix(1, np.diag([1.0, 1.0, 0.0]), 0)
+    with pytest.raises(InvalidMetricError, match="gray zone"):
+        MetricMatrix(1, np.diag([1.0, 1.0, 1e-11]), 0)
+    with pytest.raises(InvalidMetricError, match="finite"):
+        MetricMatrix(1, np.diag([1.0, np.inf, 1.0]), 0)
+    with pytest.raises(InvalidMetricError, match="3x3"):
+        MetricMatrix(1, np.eye(5), 0)
+    m = MetricMatrix(1, np.diag([1.0, 1.0, 0.0]), 1)
+    assert m.corank == 1 and not m.mat.flags.writeable
+    assert canonicalize(MetricMatrix(1, np.eye(3), 0)).rho == 1.0

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from heisgeo import InvalidMetricError
+from heisgeo import InvalidMetricError, LatticeSpec
+from heisgeo.metric import MetricMatrix
 from heisgeo.sequence import MAX_MEMBERS, SequenceSpec, analyze_sequence, check_member_count
 
 SQ2 = np.sqrt(2.0)
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def family(entries_fn, ks, n=1, lattice=(1,)):
@@ -146,3 +150,24 @@ def test_family_member_limit():
     with pytest.raises(ValueError, match="limit is 10000"):
         check_member_count(MAX_MEMBERS + 1)
     check_member_count(MAX_MEMBERS)
+
+
+def test_spec_requires_one_k_per_member():
+    m = MetricMatrix.from_matrix(np.eye(3))
+    lattice = LatticeSpec((1,))
+    with pytest.raises(ValueError, match="nonempty with one parameter per member"):
+        SequenceSpec(n=1, lattice=lattice, ks=(), members=())
+    with pytest.raises(ValueError, match="nonempty with one parameter per member"):
+        SequenceSpec(n=1, lattice=lattice, ks=(1, 2), members=(m,))
+    # more ks than matrices reaches the same check
+    with pytest.raises(ValueError, match="nonempty with one parameter per member"):
+        SequenceSpec.from_matrices(1, (1,), [np.eye(3)], ks=[1, 2])
+
+
+def test_ex_5_3_absdet_is_exact():
+    # diag(k, 1, 1/k): Atilde^T J Atilde = block_form(d), so |det Atilde| is
+    # read off d = k and is exact on every row
+    from heisgeo.cli import parse_sequence_file
+
+    report = analyze_sequence(parse_sequence_file(FIXTURES / "ex-5-3.json"), V=0.5)
+    assert [row.absdet for row in report.rows] == [float(k) for k in range(1, 51)]
