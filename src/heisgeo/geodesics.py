@@ -30,12 +30,21 @@ strictly on (-2 pi/d_n, 2 pi/d_n) (Gaveau 1977; Agrachev-Barilari-Boscain,
 "A Comprehensive Introduction to Sub-Riemannian Geometry"), so one bracketed
 root gives the minimizer, of length sqrt(sum_i a_i/s(theta_i)^2 + rho^2 p_z^2).
 Its slope is known in closed form (see _height), so a safeguarded Newton
-iteration finds the root in about ten evaluations.  For a single momentum
+iteration finds the root.  It starts near the root, at the smaller of two
+estimates with the sign of z: the small-theta one z / z'(0), with
+z'(0) = rho^2 + sum_i a_i d_i^2 / 12, and the one from the double pole of
+the top block at the cut, p_cut - sqrt(a_top pi / (d_n (|z| - rho^2 p_cut))),
+with p_cut = 2 pi / d_n and a_top the top block's energy.  The height is
+convex in |p_z|, so the first estimate lies past the root and Newton walks
+back to it monotonically; near the cut the second one is the closer.  A
+root takes about four evaluations.  For a single momentum
 the closed form runs per block on Python floats and complex numbers: with
 block i read as u_i = u_x_i + i u_y_i and p_i = p_x_i + i p_y_i, it is
 u_i(t) = t s(theta_i) e^{i theta_i/2} p_i.
 """
 
+import heapq
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,6 +54,7 @@ import numpy as np
 from . import _kernels
 from .core import GroupElement, LatticeSpec, _clean_coords
 from .errors import SolverFailure
+from .linalg import _short_vectors, _triangular_factor
 from .metric import CanonicalMetric, MetricLike, canonicalize
 
 __all__ = [
@@ -80,6 +90,17 @@ class Momentum:
         object.__setattr__(self, "p_x", px)
         object.__setattr__(self, "p_y", py)
         object.__setattr__(self, "p_z", pz)
+
+    @classmethod
+    def _solved(cls, p, pz):
+        """The momentum with p_x + i p_y = p (one complex per block) and
+        vertical part pz, built without the checks of __post_init__: the
+        solver made these finite floats."""
+        p = np.array(p, dtype=np.complex128)
+        p.setflags(write=False)  # and so its real and imaginary views
+        mom = object.__new__(cls)
+        mom.__dict__.update(p_x=p.real, p_y=p.imag, p_z=float(pz))
+        return mom
 
     @property
     def n(self):
@@ -147,8 +168,9 @@ def _endpoint_frame(d, rho, p, pz, t):
             q = theta / 6.0 * _sinc_series(theta * theta)
         else:
             q = (theta - math.sin(theta)) / (theta * theta)
-        s = math.sin(half) / half if half else 1.0
-        u.append(t * s * complex(math.cos(half), math.sin(half)) * pi)
+        sh = math.sin(half)
+        s = sh / half if half else 1.0
+        u.append(t * s * complex(math.cos(half), sh) * pi)
         z += di * q * (pi.real * pi.real + pi.imag * pi.imag)
     return u, rho * rho * pz * t + 0.5 * t * t * z
 
@@ -276,6 +298,11 @@ _RESIDUAL_TOL = 1e-9
 # _solve_pz stops once the Newton step is at most this relative amount
 # (4 ulps): below it the height's rounding, not the iterate, sets the error.
 _PZ_ULPS = 4.0 * 2.0**-52
+# ... or once the error a Newton step leaves is estimated below this relative
+# amount (a sixteenth of an ulp).
+_PZ_LEFT = 2.0**-56
+# _solve_pz starts at most this fraction of the way to the cut.
+_START_MAX = 1.0 - 2.0**-40
 # distance dilates small targets only as far as keeps rho below 2^this.
 _RHO_EXP_MAX = 400
 # Most candidate cells quotient_distance searches.
@@ -290,39 +317,61 @@ def _height(d, rho, a, pz):
     Block i adds a_i d_i f(theta_i), theta_i = p_z d_i, with
     f = (theta - sin theta) / (8 sin^2(theta/2)) = q / (2 s^2) and
     f' = 1/4 - cos(theta/2) (theta - sin theta) / (8 sin^3(theta/2))
-       = 1/4 - cos(theta/2) (q/theta) / s^3,  f'(0) = 1/12.
+       = 1/4 - cos(theta/2) f / sin(theta/2),  f'(0) = 1/12;
+    for |theta| < 1, f = theta S / (12 s^2) and f' = 1/4 - cos(theta/2) S /
+    (6 s^3) with S = _sinc_series(theta^2), and theta - sin theta =
+    2 (theta/2 - sin(theta/2) cos(theta/2)) otherwise.
     """
     z = rho * rho * pz
     slope = rho * rho
     for di, ai in zip(d, a):
         if ai:
-            theta = pz * di
-            half = 0.5 * theta
-            if abs(theta) < 1.0:  # q(theta) and q/theta by their series
-                series = _sinc_series(theta * theta)
-                q = theta / 6.0 * series
-                q_theta = series / 6.0
+            half = 0.5 * pz * di
+            sh = math.sin(half)
+            ch = math.cos(half)
+            if abs(half) < 0.5:
+                series = _sinc_series(4.0 * half * half) / 6.0
+                s = sh / half if half else 1.0
+                f = half * series / (s * s)
+                df = ch * series / (s * s * s)
             else:
-                q = (theta - math.sin(theta)) / (theta * theta)
-                q_theta = q / theta
-            s = math.sin(half) / half if half else 1.0
-            z += ai * di * q / (2.0 * s * s)
-            slope += ai * di * di * (0.25 - math.cos(half) * q_theta / (s * s * s))
+                f = (half - sh * ch) / (4.0 * sh * sh)
+                df = ch * f / sh
+            z += ai * di * f
+            slope += ai * di * di * (0.25 - df)
     return z, slope
 
 
 def _solve_pz(d, rho, a, z, pz_cut):
     """The root of _height(p_z) = z on (-pz_cut, pz_cut).
 
-    Safeguarded Newton (rtsafe, Numerical Recipes 9.4) from p_z = 0 with the
-    analytic slope, keeping a bracket: a Newton step that leaves the bracket,
-    or is not at most half the step before last, becomes a bisection step.
-    It stops when the Newton step is at most a few ulps of p_z, or when the
-    bracket closes to adjacent floats.
+    Safeguarded Newton (rtsafe, Numerical Recipes 9.4) with the analytic
+    slope, keeping a bracket: a Newton step that leaves the bracket, or is
+    not at most half the step before last, becomes a bisection step.  It
+    stops when the Newton step is at most a few ulps of p_z; when a Newton
+    step inside the bracket leaves an error, estimated as |z''| step^2 /
+    (2 z') with z'' from the slopes at the last two iterates, below a
+    sixteenth of an ulp; or when the bracket closes to adjacent floats.  It
+    starts near the root (module docstring), strictly inside the bracket: on
+    the cut, the height's double pole makes every Newton step tiny.
     """
     lo, hi = -pz_cut, pz_cut
-    pz = 0.0
+    dn = d[-1]
+    top = dn * (1.0 - _TOP_BLOCK_REL)
+    slope0 = a_top = 0.0
+    for di, ai in zip(d, a):
+        slope0 += ai * di * di
+        if di >= top:
+            a_top += ai
+    slope0 = rho * rho + slope0 / 12.0
+    start = abs(z) / slope0 if slope0 else pz_cut
+    excess = abs(z) - rho * rho * pz_cut
+    if excess > 0.0 and a_top:
+        pole = pz_cut - math.sqrt(a_top * math.pi / (dn * excess))
+        start = min(start, pole) if pole > 0.0 else start
+    pz = math.copysign(min(start, _START_MAX * pz_cut), z)
     step = step_old = hi - lo
+    last = None  # (p_z, slope) of the iterate before
     for _ in range(200):
         height, slope = _height(d, rho, a, pz)
         f = height - z
@@ -335,31 +384,113 @@ def _solve_pz(d, rho, a, z, pz_cut):
         newton = pz - f / slope
         if abs(newton - pz) <= _PZ_ULPS * abs(pz):
             return newton
-        if lo < newton < hi and abs(2.0 * f) <= abs(step_old * slope):
-            step_old, step = step, newton - pz
-            pz = newton
-        else:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                return mid
-            step_old, step = step, mid - pz
-            pz = mid
+        if lo < newton < hi:
+            curvature = abs((slope - last[1]) / (pz - last[0])) if last else math.inf
+            if curvature * (newton - pz) ** 2 <= 2.0 * _PZ_LEFT * abs(newton * slope):
+                return newton
+            if abs(2.0 * f) <= abs(step_old * slope):
+                last = pz, slope
+                step_old, step = step, newton - pz
+                pz = newton
+                continue
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        last = pz, slope
+        step_old, step = step, mid - pz
+        pz = mid
     return pz
 
 
-def _unit_and_residual(d, rho, u, z, p, pz):
-    """(length, unit frame momenta, unit p_z, scaled residual) of the momentum
-    (p, pz) that is meant to reach frame point (u, z) at time 1; the residual
-    is taken on the closed-form endpoint of the unit momentum at time
-    `length`.  u and p hold one complex number per block."""
-    length = math.hypot(*[v.real for v in p], *[v.imag for v in p], rho * pz)
+def _unit_and_residual(d, rho, u, u_norm, z, p, pz):
+    """(scaled residual, length, unit frame momenta, unit p_z) of the
+    momentum (p, pz) that is meant to reach frame point (u, z), |u| =
+    u_norm, at time 1; the residual is taken on the closed-form endpoint of
+    the unit momentum at time `length`.  u and p hold one complex number
+    per block."""
+    length = math.hypot(*map(abs, p), rho * pz)
     p = [v / length for v in p]
     pz /= length
     u_end, z_end = _endpoint_frame(d, rho, p, pz, length)
-    u_norm = math.hypot(*[v.real for v in u], *[v.imag for v in u])
-    miss = max(max(abs(e.real - v.real), abs(e.imag - v.imag)) for e, v in zip(u_end, u))
-    residual = max(miss / (1.0 + u_norm), abs(z_end - z) / (1.0 + abs(z)))
-    return length, p, pz, residual
+    miss = max([max(abs(e.real - v.real), abs(e.imag - v.imag)) for e, v in zip(u_end, u)])
+    return max(miss / (1.0 + u_norm), abs(z_end - z) / (1.0 + abs(z))), length, p, pz
+
+
+def _distance_frame(d, rho, uv, z):
+    """The core of `distance`, in frame coordinates: (length, p, p_z) of the
+    unit minimizer from the identity to the point with frame coordinates uv
+    (u_x then u_y, as floats) and height z, with p one complex p_x_i + i p_y_i
+    per block.  d (ascending) and rho are the metric's, as floats.  Raises
+    SolverFailure when the minimizer fails its residual check."""
+    n = len(d)
+    size = max(max(map(abs, uv)), math.sqrt(abs(z)))
+    if not size:
+        return 0.0, [0j] * n, 0.0
+    # Dilate a target smaller than 1/2 by (u, z) -> (2^k u, 4^k z), exact in
+    # floats, to about unit size, so that neither |u_i|^2 underflows nor the
+    # top-block cut-off below outweighs u.  With rho -> 2^k rho (kept below
+    # 2^_RHO_EXP_MAX, so rho^2 stays finite) the minimizer keeps its p_z at
+    # time 1 and every length grows by 2^k; the residual check only tightens.
+    k = -math.frexp(size)[1]
+    if rho:
+        k = min(k, _RHO_EXP_MAX - math.frexp(rho)[1])
+    if k > 0:
+        uv = [math.ldexp(v, k) for v in uv]
+        z = math.ldexp(z, 2 * k)
+        rho = math.ldexp(rho, k)
+    else:
+        k = 0
+    u = list(map(complex, uv[:n], uv[n:]))
+    a = [v.real * v.real + v.imag * v.imag for v in u]
+    u_norm = math.sqrt(sum(a))
+    dn = d[-1]
+    pz_cut = 2.0 * math.pi / dn
+    # the top block is blocks first..n-1 (d ascending); rest is a without it
+    first = n - 1
+    while first and d[first - 1] >= dn * (1.0 - _TOP_BLOCK_REL):
+        first -= 1
+    a_top = sum(a[first:])
+    rest = a[:first] + [0.0] * (n - first)
+
+    at_cut = False
+    if a_top <= (_TOP_PART_REL * (1.0 + u_norm)) ** 2:
+        pz = math.copysign(pz_cut, z)
+        z_limit = _height(d, rho, rest, pz)[0]
+        at_cut = abs(z) >= abs(z_limit)
+    if not at_cut:
+        pz = _solve_pz(d, rho, a, z, pz_cut)
+
+    p = []
+    for di, ui in zip(d, u):
+        half = 0.5 * pz * di
+        sh = math.sin(half)
+        p.append(ui * complex(math.cos(half), -sh) / (sh / half) if half else ui)
+    if at_cut:
+        p = p[:first] + [0j] * (n - first)
+        p[-1] = complex(math.sqrt(2.0 * pz * (z - z_limit)), 0.0)
+    best = _unit_and_residual(d, rho, u, u_norm, z, p, pz)
+    if best[0] > 1e-3 * _RESIDUAL_TOL and not at_cut and a_top:
+        top = [0.0] * first + a[first:]
+        grow = (z - _height(d, rho, rest, pz)[0]) / _height(d, 0.0, top, pz)[0]
+        g = math.sqrt(max(grow, 0.0))
+        p = p[:first] + [v * g for v in p[first:]]
+        best = min(best, _unit_and_residual(d, rho, u, u_norm, z, p, pz), key=operator.itemgetter(0))
+    residual, length, p, pz = best
+    if not residual <= _RESIDUAL_TOL:
+        raise SolverFailure(
+            f"minimizer misses the target (scaled residual {residual:.3e})",
+            best_residual=residual,
+        )
+    return math.ldexp(length, -k), p, math.ldexp(pz, k)
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
+def _matvec(rows, v):
+    """The matrix with these rows (nested lists) times the list v."""
+    return [_dot(row, v) for row in rows]
 
 
 def distance(c: MetricLike, target: GroupElement):
@@ -384,70 +515,19 @@ def distance(c: MetricLike, target: GroupElement):
     the check still fails, SolverFailure is raised with the residual.
     """
     c = canonicalize(c)
-    n = c.n
-    uv = np.linalg.solve(c.atilde, np.concatenate([target.x, target.y])).tolist()
-    z = target.z
-    if not any(uv) and z == 0.0:
-        return 0.0, Momentum(np.zeros(n), np.zeros(n), 0.0)
-    d = c.d.tolist()
-    rho = float(c.rho)
-    # Dilate a target smaller than 1/2 by (u, z) -> (2^k u, 4^k z), exact in
-    # floats, to about unit size, so that neither |u_i|^2 underflows nor the
-    # top-block cut-off below outweighs u.  With rho -> 2^k rho (kept below
-    # 2^_RHO_EXP_MAX, so rho^2 stays finite) the minimizer keeps its p_z at
-    # time 1 and every length grows by 2^k; the residual check only tightens.
-    k = -math.frexp(max(max(map(abs, uv)), math.sqrt(abs(z))))[1]
-    if rho:
-        k = min(k, _RHO_EXP_MAX - math.frexp(rho)[1])
-    k = max(k, 0)
-    uv = [math.ldexp(v, k) for v in uv]
-    z = math.ldexp(z, 2 * k)
-    rho = math.ldexp(rho, k)
-    u = [complex(x, y) for x, y in zip(uv[:n], uv[n:])]
-    a = [v.real * v.real + v.imag * v.imag for v in u]
-    pz_cut = 2.0 * math.pi / d[-1]
-    top = [di >= d[-1] * (1.0 - _TOP_BLOCK_REL) for di in d]
-    rest = [0.0 if t else ai for ai, t in zip(a, top)]
-    a_top = [ai - ri for ai, ri in zip(a, rest)]
-
-    at_cut = False
-    if sum(a_top) <= (_TOP_PART_REL * (1.0 + math.sqrt(sum(a)))) ** 2:
-        pz = math.copysign(pz_cut, z)
-        z_limit = _height(d, rho, rest, pz)[0]
-        at_cut = abs(z) >= abs(z_limit)
-    if not at_cut:
-        pz = _solve_pz(d, rho, a, z, pz_cut)
-
-    p = []
-    for di, ui in zip(d, u):
-        half = 0.5 * pz * di
-        s = math.sin(half) / half if half else 1.0
-        p.append(ui * complex(math.cos(half), -math.sin(half)) / s)
-    if at_cut:
-        p = [0j if t else pi for pi, t in zip(p, top)]
-        p[-1] = complex(math.sqrt(2.0 * pz * (z - z_limit)), 0.0)
-    best = _unit_and_residual(d, rho, u, z, p, pz)
-    if best[3] > 1e-3 * _RESIDUAL_TOL and not at_cut and any(a_top):
-        grow = (z - _height(d, rho, rest, pz)[0]) / _height(d, 0.0, a_top, pz)[0]
-        g = math.sqrt(max(grow, 0.0))
-        p = [pi * g if t else pi for pi, t in zip(p, top)]
-        best = min(best, _unit_and_residual(d, rho, u, z, p, pz), key=lambda r: r[3])
-    length, p, pz, residual = best
-    if not residual <= _RESIDUAL_TOL:
-        raise SolverFailure(
-            f"minimizer misses the target (scaled residual {residual:.3e})",
-            best_residual=residual,
-        )
-    return math.ldexp(length, -k), Momentum([v.real for v in p], [v.imag for v in p], math.ldexp(pz, k))
+    uv = _matvec(c._frame_inverse, [*target.x.tolist(), *target.y.tolist()])
+    length, p, pz = _distance_frame(c.d.tolist(), float(c.rho), uv, target.z)
+    return length, Momentum._solved(p, pz)
 
 
 def _reduce_to_domain(x, y, z, r):
     """gamma * (x, y, z) for the lattice point gamma that moves it into the
-    fundamental domain x_i in [0, r_i), y_i in [0, 1), z in [-1/2, 1/2)."""
-    gx = -r * np.floor(x / r)
-    gy = -np.floor(y)
-    z = z + 0.5 * float(gx @ gy) + 0.5 * float(gx @ y - gy @ x)
-    return x + gx, y + gy, z - math.floor(z + 0.5)
+    fundamental domain x_i in [0, r_i), y_i in [0, 1), z in [-1/2, 1/2);
+    x, y and r are lists of floats."""
+    gx = [-ri * math.floor(xi / ri) for xi, ri in zip(x, r)]
+    gy = [-math.floor(yi) for yi in y]
+    z += 0.5 * _dot(gx, gy) + 0.5 * (_dot(gx, y) - _dot(gy, x))
+    return [a + b for a, b in zip(x, gx)], [a + b for a, b in zip(y, gy)], z - math.floor(z + 0.5)
 
 
 def quotient_distance(c: MetricLike, spec: LatticeSpec, target: GroupElement) -> float:
@@ -455,65 +535,77 @@ def quotient_distance(c: MetricLike, spec: LatticeSpec, target: GroupElement) ->
     quotient by the lattice: min over lattice translates gamma * target.
 
     The target is first moved into the fundamental domain, which keeps its
-    coset, and the distance L to that point seeds the bound.  Every translate
-    closer than L lies in a box: |Atilde^-1 w| <= L bounds (x, y), and the
-    height a curve of length L reaches, d_n L^2 / 4 + rho L, bounds z.  The
-    whole box is built with numpy; `distance` runs only on translates whose
-    lower bound (the larger of the horizontal norm and the length needed to
-    reach their height) beats the best distance so far.
+    coset, and the distance L to that point (w, z) seeds the bound.  A
+    translate closer than L has horizontal part w + g in the ellipsoid
+    |Atilde^-1 (w + g)| <= L, whose bounding box has half-width L |row i of
+    Atilde| in axis i, and a height within d_n L^2 / 4 + rho L, the height a
+    curve of length L reaches.  The horizontal lattice translates g in the
+    ellipsoid are listed by a Fincke--Pohst closest-vector enumeration
+    (`linalg._short_vectors`); each one's heights are then taken best-first
+    from a heap keyed by a lower bound, the larger of |Atilde^-1 (w + g)| and
+    the length needed to reach the height, nearest height first, and solved
+    only while that bound beats the best distance so far.
 
-    Raises ValueError, before building anything, when the box holds more
-    than QUOTIENT_BOX_LIMIT cells.
+    Raises ValueError, before searching, when the box holds more than
+    QUOTIENT_BOX_LIMIT cells (horizontal cells times heights).
     """
     c = canonicalize(c)
     n = c.n
-    r = np.asarray(spec.r, dtype=np.float64)
-    hx, hy, hz = _reduce_to_domain(target.x, target.y, float(target.z), r)
-    best, _ = distance(c, GroupElement(hx, hy, hz))
+    r = [float(v) for v in spec.r]
+    hx, hy, hz = _reduce_to_domain(target.x.tolist(), target.y.tolist(), target.z, r)
+    w = hx + hy
+    ainv = c._frame_inverse
+    d = c.d.tolist()
+    rho = float(c.rho)
+    best = _distance_frame(d, rho, _matvec(ainv, w), hz)[0]
     if best == 0.0:
         return 0.0
-    dn = float(c.d[-1])
-    rho = float(c.rho)
-    ainv = np.linalg.inv(c.atilde)
-    w = np.concatenate([hx, hy])
-    period = np.concatenate([r, np.ones(n)])
-    reach = float(np.linalg.svd(c.atilde, compute_uv=False)[0]) * best
+    dn = d[-1]
     z_bound = dn * best * best / 4.0 + rho * best
+    period = r + [1.0] * n
 
-    lo = np.ceil((-w - reach) / period)
-    hi = np.floor((-w + reach) / period)
-    sizes = [max(int(v), 0) for v in hi - lo + 1.0]
-    cells = math.prod(sizes)
-    if cells * (2 * math.floor(z_bound) + 2) > QUOTIENT_BOX_LIMIT:
+    cells = 1
+    for wi, row, per in zip(w, c.atilde.tolist(), period):
+        reach = best * math.hypot(*row)
+        cells *= max(math.floor((reach - wi) / per) - math.ceil((-reach - wi) / per) + 1, 0)
+    heights = 2 * math.floor(z_bound) + 2
+    if cells * heights > QUOTIENT_BOX_LIMIT:
         raise ValueError(
-            f"quotient search box of about {cells} x {2 * math.floor(z_bound) + 2} cells "
-            f"exceeds the limit of {QUOTIENT_BOX_LIMIT}"
+            f"quotient search box of about {cells} x {heights} cells exceeds the limit of {QUOTIENT_BOX_LIMIT}"
         )
-    axes = [period[i] * np.arange(lo[i], hi[i] + 1.0) for i in range(2 * n)]
-    g = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * n)
-    gx, gy = g[:, :n], g[:, n:]
-    hw = g + w
-    z0 = hz + 0.5 * np.vecdot(gx, gy) + 0.5 * (gx @ hy - gy @ hx)
-    lb_w = np.linalg.norm(hw @ ainv.T, axis=1)
-    near = lb_w < best - 1e-12
-    g, hw, z0, lb_w = g[near], hw[near], z0[near], lb_w[near]
+    # g = period * j, so with R from a QR of M = Atilde^-1 diag(period),
+    # |Atilde^-1 (w + g)| = |M (j + w / period)| = |R (j + w / period)|
+    R = _triangular_factor([[v * per for v, per in zip(row, period)] for row in ainv])
+    points = _short_vectors(R, best * best, [-wi / per for wi, per in zip(w, period)])
 
-    m_lo = np.ceil(-z0 - z_bound)
-    counts = np.maximum(np.floor(-z0 + z_bound) - m_lo + 1.0, 0.0).astype(np.int64)
-    cell = np.repeat(np.arange(g.shape[0]), counts)
-    first = np.cumsum(counts) - counts
-    m = m_lo[cell] + (np.arange(cell.shape[0]) - first[cell])
-    hz_all = z0[cell] + m
-    # smallest T with d_n T^2 / 4 + rho T >= |z|: the length needed to reach
-    # height z
-    lb_z = (np.sqrt(rho * rho + dn * np.abs(hz_all)) - rho) * 2.0 / dn
-    lb = np.maximum(lb_w[cell], lb_z)
-    lb[~np.any(g, axis=1)[cell] & (m == 0.0)] = np.inf  # the seed itself
+    # Best-first over (lower bound, tie-break, m, step, point).  A point
+    # enters with its horizontal bound alone (m None); when first popped, it
+    # re-enters at its height z0 + m nearest 0, and each popped height brings
+    # in the next one outward, up (step 1) or down (step -1).
+    heap = sorted((math.sqrt(tot), i, None, 0, j) for i, (tot, j) in enumerate(points))
+    tick = itertools.count(len(heap))
 
-    for k in np.argsort(lb, kind="stable"):
-        if lb[k] >= best - 1e-12:
+    def push(m, step, point):
+        h = abs(point[1] + m)
+        if h <= z_bound:
+            # the smallest T with d_n T^2 / 4 + rho T >= h reaches height h
+            lb = max(point[0], 2.0 * h / (math.sqrt(rho * rho + dn * h) + rho))
+            if lb < best - 1e-12:
+                heapq.heappush(heap, (lb, next(tick), m, step, point))
+
+    while heap:
+        lb, _, m, step, point = heapq.heappop(heap)
+        if lb >= best - 1e-12:
             break
-        hk = hw[cell[k]]
-        dist_k, _ = distance(c, GroupElement(hk[:n], hk[n:], hz_all[k]))
-        best = min(best, dist_k)
+        if m is None:
+            g = [per * ji for per, ji in zip(period, point)]
+            gx, gy = g[:n], g[n:]
+            z0 = hz + 0.5 * (_dot(gx, gy) + _dot(gx, hy) - _dot(gy, hx))
+            push(round(-z0), 0, (lb, z0, list(map(operator.add, w, g)), not any(point)))
+            continue
+        _, z0, hw, origin = point
+        if m or not origin:  # gamma = e is the seed itself
+            best = min(best, _distance_frame(d, rho, _matvec(ainv, hw), z0 + m)[0])
+        for s in (step,) if step else (1, -1):
+            push(m + s, s, point)
     return best

@@ -191,26 +191,71 @@ def _lll_reduce(G, delta=0.99, max_iter=10000):
     return U.T @ G @ U, U
 
 
-def _short_vectors(R, bound):
-    """Every nonzero integer x with |R x|^2 <= bound, as (|R x|^2, x) pairs,
-    for an upper-triangular R given as nested lists: depth-first
-    Fincke--Pohst enumeration (Math. Comp. 44, 1985), last coordinate first."""
+def _triangular_factor(A):
+    """R of the factorization A = Q R of a small nonsingular matrix given as
+    nested lists, R upper triangular with positive diagonal, by modified
+    Gram--Schmidt on the columns in Python floats.  Its R is backward stable
+    even where its Q loses orthogonality (Bjorck, BIT 7, 1967), and only R
+    is kept."""
+    cols = [list(col) for col in zip(*A)]
+    m = len(cols)
+    R = [[0.0] * m for _ in range(m)]
+    for k in range(m):
+        r = R[k][k] = math.hypot(*cols[k])
+        q = [v / r for v in cols[k]]
+        for j in range(k + 1, m):
+            t = R[k][j] = sum(map(operator.mul, q, cols[j]))
+            cols[j] = [a - t * b for a, b in zip(cols[j], q)]
+    return R
+
+
+# Most nodes (candidate coordinates, over all levels) `_short_vectors` visits.
+# LLL-reduced Grams of shortest_lattice_vector need tens to hundreds; a
+# quotient_distance search visits at most about 2n nodes per cell of a box
+# it has counted against QUOTIENT_BOX_LIMIT, about 1.5 million for n = 3.
+ENUM_NODE_BUDGET = 10_000_000
+
+
+def _short_vectors(R, bound, centre=None):
+    """Every integer x with |R (x - centre)|^2 <= bound, as (|R (x - centre)|^2,
+    x) pairs, for an upper-triangular R with positive diagonal given as nested
+    lists: depth-first Fincke--Pohst enumeration (Math. Comp. 44, 1985), last
+    coordinate first.  Without a centre, x = 0 is left out, so these are the
+    short nonzero vectors; with one, this is a closest-vector search (Agrell,
+    Eriksson, Vardy and Zeger, IEEE Trans. Inf. Theory 48, 2002).
+
+    Raises RuntimeError once more than ENUM_NODE_BUDGET nodes are visited.
+    """
     m = len(R)
+    centred = centre is not None
+    c = list(centre) if centred else [0.0] * m
     x = [0] * m
+    y = [0.0] * m  # x - c
     found = []
+    nodes = 0
 
     def search(i, acc):
-        s = sum(R[i][j] * x[j] for j in range(i + 1, m))
-        r = R[i][i]
+        nonlocal nodes
+        row = R[i]
+        s = sum([row[j] * y[j] for j in range(i + 1, m)])
+        r = row[i]
+        ci = c[i]
         half = math.sqrt(max(bound - acc, 0.0))
-        for xi in range(math.ceil((-half - s) / r - 1e-9), math.floor((half - s) / r + 1e-9) + 1):
-            tot = acc + (r * xi + s) ** 2
+        first = math.ceil((-half - s) / r + ci - 1e-9)
+        last = math.floor((half - s) / r + ci + 1e-9)
+        nodes += last - first + 1  # never negative: half >= 0
+        if nodes > ENUM_NODE_BUDGET:
+            raise RuntimeError(f"lattice enumeration exceeded its budget of {ENUM_NODE_BUDGET} nodes")
+        for xi in range(first, last + 1):
+            yi = xi - ci
+            tot = acc + (r * yi + s) ** 2
             if tot > bound:
                 continue
             x[i] = xi
-            if i > 0:
+            y[i] = yi
+            if i:
                 search(i - 1, tot)
-            elif any(x):
+            elif centred or any(x):
                 found.append((tot, x.copy()))
 
     search(m - 1, 0.0)
@@ -226,7 +271,8 @@ def shortest_lattice_vector(gram):
     deterministic even though -v is always a co-minimizer.
 
     Raises ValueError unless gram is square, symmetric and positive definite,
-    and RuntimeError if the LLL reduction does not terminate.
+    and RuntimeError if the LLL reduction does not terminate or the
+    enumeration exceeds ENUM_NODE_BUDGET.
     """
     G = np.asarray(gram, dtype=np.float64)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:

@@ -222,6 +222,13 @@ class CanonicalMetric:
     def corank(self):
         return self.source.corank
 
+    @functools.cached_property
+    def _frame_inverse(self):
+        """Atilde^-1 as nested lists, computed on first use: it maps standard
+        coordinates w to frame coordinates u.  Atilde is read-only, so the
+        inverse stays valid."""
+        return np.linalg.inv(self.atilde).tolist()
+
     def matrix(self):
         """The canonical representative as a full (2n+1) matrix."""
         dim = 2 * self.n + 1
@@ -322,6 +329,8 @@ def canonicalize_family(members) -> List[CanonicalMetric]:
     atilde = np.ldexp(atilde @ Rn, e[:, None, None])
     d = np.ldexp(d, 2 * e[:, None])
     R[:, :, :-1] = R[:, :, :-1] @ Rn
+    for out in (atilde, d, P, R):  # members are views, read-only like these
+        out.setflags(write=False)
     return [
         CanonicalMetric(n, atilde[i], r, d[i], P[i], R[i], m, absdet, delta)
         for i, (m, (r, absdet, delta)) in enumerate(zip(members, scalars))
@@ -372,11 +381,12 @@ def ricci_matrix(m: MetricLike) -> np.ndarray:
     if c.corank != 0:
         raise RiemannianOnlyError("Ricci tensor requires a corank-0 (Riemannian) metric")
     n = c.n
-    rho2 = c.rho**2
+    # (d / rho)^2, not d^2 / rho^2: d^2 overflows long before the ratio does
+    q = (c.d / c.rho) ** 2 / 2.0
     diag = np.empty(2 * n + 1)
-    diag[:n] = -c.d**2 / (2.0 * rho2)
-    diag[n : 2 * n] = diag[:n]
-    diag[-1] = np.sum(c.d**2) / (2.0 * rho2)
+    diag[:n] = -q
+    diag[n : 2 * n] = -q
+    diag[-1] = np.sum(q)
     return np.diag(diag)
 
 

@@ -1,6 +1,34 @@
 import itertools
+import signal
+import threading
 
 import numpy as np
+import pytest
+
+# Seconds one test may run: generous against the slowest tests (a few
+# seconds each in CI's --durations list), so that a search that runs on
+# fails its test instead of hanging the suite.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    """Fail the running test with TimeoutError after TEST_TIME_LIMIT_S, by
+    SIGALRM from the stdlib interval timer (POSIX, main thread only)."""
+    if not hasattr(signal, "setitimer") or threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def expired(signum, frame):
+        raise TimeoutError(f"test ran past its time limit of {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_orthogonal(rng, m):

@@ -415,6 +415,29 @@ def test_lll_failure_exit_code(capsys, monkeypatch):
     assert doc["error"] == {"type": "RuntimeError", "message": "LLL failed to terminate"}
 
 
+def test_enumeration_budget_exit_code(capsys, monkeypatch):
+    # a shortest-vector enumeration over its node budget: RuntimeError as
+    # JSON on stderr, exit 1, as for LLL
+    monkeypatch.setattr(linalg, "ENUM_NODE_BUDGET", 1)
+    code, out, err = run_cli(
+        capsys,
+        "check",
+        "--input",
+        str(FIXTURES / "identity-h1.json"),
+        "--D",
+        "1",
+        "--V",
+        "0.5",
+        "--K",
+        "1",
+        "--mode",
+        "riemannian",
+    )
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == {"type": "RuntimeError", "message": "lattice enumeration exceeded its budget of 1 nodes"}
+
+
 # ---------------------------------------------------------------------------
 # strict JSON and bounded families
 # ---------------------------------------------------------------------------
@@ -489,6 +512,28 @@ def test_invariants_at_extreme_scales(capsys, tmp_path, diagonal, d):
     assert code == 0 and err == ""
     doc = json.loads(out)
     assert doc["d"] == [d] and doc["absdet"] == d and doc["absrho"] == diagonal[2]
+
+
+def test_ricci_at_large_scale(capsys, tmp_path):
+    # (d / rho)^2 / 2 = 5e299 is a float although d^2 = 1e600 is not: the
+    # ricci subcommand and the sequence rows' Ricci columns stay finite, with
+    # no numpy warning (an error here) on the way
+    big = (1e150 * np.eye(3)).tolist()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "lattice": [1], "matrix": big}))
+    seq = tmp_path / "seq.json"
+    seq.write_text(json.dumps({"n": 1, "lattice": [1], "family": {"kind": "explicit", "matrices": [big] * 3}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "ricci", "--input", str(path))
+        assert code == 0 and err == ""
+        ric = np.array(json.loads(out)["matrix"])
+        assert np.all(np.isfinite(ric)) and ric[2, 2] == pytest.approx(5e299, rel=1e-14)
+        code, out, err = run_cli(capsys, "sequence", "--spec", str(seq), "--volume-floor", "0.5")
+    assert code == 0 and err == ""
+    for row in json.loads(out)["rows"]:
+        assert row["ricci_max"] == pytest.approx(5e299, rel=1e-14)
+        assert row["ricci_min"] == pytest.approx(-5e299, rel=1e-14)
 
 
 def test_invariants_out_of_float_range_exit_code(capsys, tmp_path):

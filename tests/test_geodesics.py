@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -783,6 +785,70 @@ def test_quotient_distance_lattice_translation_invariant():
         got = quotient_distance(c, spec, group_mul(gamma, target))
         assert abs(got - want) <= 1e-10 * (1.0 + want)
         assert want <= distance(c, target)[0] * (1.0 + 1e-12)
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """perfbench/reference.py, loaded from its file as it stands: the
+    benchmark's translate-box minimum is the one copy of this oracle."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _oracle_quotient(reference, c, r, target):
+    return reference.reference_quotient_distance(c.atilde, c.d, c.rho, r, target.coords())
+
+
+def test_quotient_distance_matches_reference_oracle(reference):
+    """120 seeded generic targets with y != 0, whose translates' heights
+    carry the symplectic cocycle term, against the benchmark's brute-force
+    box minimum: n <= 2, both coranks, five lattices.  The targets lie in
+    the fundamental domain, where the oracle's box is smallest."""
+    rng = np.random.default_rng(90)
+    lattices = [(1,), (2,), (1, 1), (1, 2), (2, 2)]
+    for i in range(120):
+        r = lattices[i % 5]
+        n = len(r)
+        c = _canonical_metric(rng, n, (i // 5) % 2, spread=4.0)
+        target = GroupElement(
+            rng.uniform(0.0, 1.0, n) * np.asarray(r), rng.uniform(0.05, 0.95, n), rng.uniform(-0.5, 0.5)
+        )
+        got = quotient_distance(c, LatticeSpec(r), target)
+        assert got == pytest.approx(_oracle_quotient(reference, c, r, target), rel=1e-12)
+
+
+def _sigma_max_box_cells(c, spec, target):
+    """Cells of the translate box of half-width sigma_max(Atilde) L that an
+    earlier search built, L the distance to the fundamental-domain point."""
+    r = np.asarray(spec.r, dtype=np.float64)
+    hx, hy, hz = geodesics._reduce_to_domain(target.x.tolist(), target.y.tolist(), target.z, r.tolist())
+    best, _ = distance(c, GroupElement(hx, hy, hz))
+    reach = float(np.linalg.svd(c.atilde, compute_uv=False)[0]) * best
+    w = np.concatenate([hx, hy])
+    period = np.concatenate([r, np.ones(c.n)])
+    sizes = np.floor((reach - w) / period) - np.ceil((-reach - w) / period) + 1.0
+    z_bound = float(c.d[-1]) * best * best / 4.0 + float(c.rho) * best
+    return math.prod(int(v) for v in sizes) * (2 * math.floor(z_bound) + 2)
+
+
+@pytest.mark.parametrize("draw", [8, 13])
+def test_quotient_distance_n3_beyond_the_old_box(reference, draw):
+    """Lattice (1, 1, 1) and the metric I + 0.3 N(0, 1): inputs whose
+    sigma_max box exceeds the cell limit, which the ellipsoid's bounding box
+    admits, answered as the oracle answers them."""
+    rng = np.random.default_rng(3)
+    for _ in range(draw + 1):
+        A = np.eye(7) + 0.3 * rng.normal(size=(7, 7))
+        coords = np.concatenate([rng.uniform(-1.0, 1.0, 6), [rng.uniform(-2.0, 2.0)]])
+    c = canonicalize(MetricMatrix.from_matrix(A))
+    spec = LatticeSpec((1, 1, 1))
+    target = GroupElement.from_coords(coords)
+    assert _sigma_max_box_cells(c, spec, target) > geodesics.QUOTIENT_BOX_LIMIT
+    got = quotient_distance(c, spec, target)
+    assert got == pytest.approx(_oracle_quotient(reference, c, spec.r, target), rel=1e-12)
 
 
 def test_quotient_box_guard(monkeypatch):

@@ -1,7 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from heisgeo.linalg import _lll_reduce, block_form, shortest_lattice_vector, skew_normal_form
+from heisgeo import linalg
+from heisgeo.linalg import (
+    _lll_reduce,
+    _short_vectors,
+    _triangular_factor,
+    block_form,
+    shortest_lattice_vector,
+    skew_normal_form,
+)
 
 from conftest import brute_force_shortest, random_orthogonal, random_unimodular
 
@@ -220,3 +230,41 @@ def test_skew_normal_form_homothety():
     assert skew_normal_form(np.array([[0.0, 1e-12], [-1e-12, 0.0]])).d[0] == 1e-12
     with pytest.raises(ValueError, match="finite"):
         skew_normal_form(np.array([[0.0, np.inf], [-np.inf, 0.0]]))
+
+
+def test_short_vectors_node_budget(monkeypatch):
+    """A deliberately poor triangular factor (tiny diagonal under a unit
+    bound, about 8e9 lattice points) stops at the node budget with
+    RuntimeError instead of running on; a good one of the same size stays
+    far below it."""
+    monkeypatch.setattr(linalg, "ENUM_NODE_BUDGET", 20_000)
+    with pytest.raises(RuntimeError, match="budget of 20000 nodes"):
+        _short_vectors([[1e-3, 0.3, 0.2], [0.0, 1e-3, 0.4], [0.0, 0.0, 1e-3]], 1.0)
+    monkeypatch.setattr(linalg, "ENUM_NODE_BUDGET", 50)
+    assert len(_short_vectors([[1.0, 0.3, 0.2], [0.0, 1.0, 0.4], [0.0, 0.0, 1.0]], 1.0)) > 0
+
+
+def test_short_vectors_centred():
+    """With a centre, every integer point of the ellipsoid around it, 0
+    included, checked against a brute force over a box around the centre."""
+    rng = np.random.default_rng(14)
+    for m in (2, 3, 4):
+        B = np.triu(rng.uniform(-0.5, 0.5, (m, m))) + np.diag(rng.uniform(0.5, 1.5, m))
+        centre = rng.uniform(-2.0, 2.0, m)
+        got = {tuple(x): tot for tot, x in _short_vectors(B.tolist(), 2.0, centre.tolist())}
+        box = [range(int(np.floor(v)) - 4, int(np.ceil(v)) + 5) for v in centre]
+        want = {x: float(np.sum((B @ (np.array(x) - centre)) ** 2)) for x in itertools.product(*box)}
+        want = {x: t for x, t in want.items() if t <= 2.0}
+        assert got.keys() == want.keys()
+        assert all(got[x] == pytest.approx(want[x], rel=1e-12, abs=1e-14) for x in want)
+
+
+def test_triangular_factor_matches_qr():
+    rng = np.random.default_rng(15)
+    for m in (2, 4, 6):
+        A = rng.normal(size=(m, m))
+        R = np.array(_triangular_factor(A.tolist()))
+        want = np.linalg.qr(A, mode="r")
+        want *= np.sign(np.diagonal(want))[:, None]
+        assert np.all(np.tril(R, -1) == 0.0) and np.all(np.diagonal(R) > 0.0)
+        assert np.max(np.abs(R - want)) <= 1e-13 * np.max(np.abs(want))

@@ -422,6 +422,19 @@ def test_from_matrices_matches_from_matrix():
         assert not m.mat.flags.writeable
 
 
+def test_canonical_arrays_are_read_only():
+    """The cached frame inverse stays valid only if Atilde cannot change under
+    it: the canonical arrays refuse in-place writes, one member or a family."""
+    rng = np.random.default_rng(12)
+    members = [MetricMatrix.from_matrix(random_corank0(rng, 2)), MetricMatrix.from_matrix(random_corank1(rng, 2))]
+    for c in [canonicalize(members[0]), *canonicalize_family(members)]:
+        for name in ("atilde", "d", "P", "R"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(c, name)[0] = 1.0
+        assert c._frame_inverse == np.linalg.inv(c.atilde).tolist()
+        assert c._frame_inverse is c._frame_inverse  # computed once
+
+
 # |k| <= HOMOTHETY_K[n], i.e. |2nk| <= 900, keeps 4^(nk) |det Atilde| and
 # 4^k d normal floats for these draws: random_corank0/1 keep the singular
 # values in (1e-3, 40), so 2^-60 < |det Atilde| < 2^32
